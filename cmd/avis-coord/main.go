@@ -54,14 +54,12 @@ func main() {
 	perfDir := flag.String("perfstore-dir", "", "host the shared live performance store, persisting refined profiles to a write-ahead log in this directory")
 	perfMem := flag.Bool("perfstore-mem", false, "host the shared performance store in memory (no persistence)")
 	perfPrior := flag.String("perfdb", "", "profiled prior database (JSON, from avis-profile) the live store refines")
-	wireV1 := flag.Bool("wirev1", false, "speak v1 framing and JSON control bodies, as a pre-v2 build would (mixed-version rollouts)")
 	flag.Parse()
 
 	coord := cluster.NewCoordinator(cluster.Config{
 		SuspectAfter: *suspect,
 		DeadAfter:    *dead,
 		Shards:       *shards,
-		WireV1:       *wireV1,
 	})
 	var perf *perfstore.PerfStore
 	if *perfDir != "" || *perfMem {

@@ -50,7 +50,6 @@ func main() {
 	mem := flag.Int64("mem", 512<<20, "memory capacity in bytes declared to cluster admission control")
 	heartbeat := flag.Duration("heartbeat", cluster.DefaultHeartbeat, "cluster heartbeat interval")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown drain bound for in-flight sessions")
-	wireV1 := flag.Bool("wirev1", false, "speak v1 framing and JSON control bodies, as a pre-v2 build would (mixed-version rollouts)")
 	flag.Parse()
 
 	seeds := make([]int64, *images)
@@ -62,7 +61,6 @@ func main() {
 		log.Fatalf("avis-server: %v", err)
 	}
 	srv.SetIOTimeout(*ioTimeout)
-	srv.SetWireV1(*wireV1)
 	if *metricsAddr != "" {
 		start := time.Now()
 		reg := metrics.New(metrics.WithNow(func() time.Duration { return time.Since(start) }))
@@ -100,7 +98,6 @@ func main() {
 		}, *heartbeat, func() cluster.Load {
 			return cluster.Load{ActiveSessions: srv.ActiveSessions()}
 		})
-		agent.SetWireV1(*wireV1)
 		if err := agent.Start(); err != nil {
 			log.Fatalf("avis-server: join cluster: %v", err)
 		}

@@ -326,13 +326,13 @@ func TestServerStatsAndProtocolErrors(t *testing.T) {
 			return
 		}
 		// Malformed request → server replies with an error message.
-		w.Link.A().Send(p, []byte{tagRequest, 1, 2})
+		w.Link.A().Send(p, []byte{TagRequest, 1, 2})
 		raw, ok := w.Link.A().Recv(p)
-		gotErr = ok && len(raw) > 0 && raw[0] == tagError
+		gotErr = ok && len(raw) > 0 && raw[0] == TagError
 		// Unknown codec notify → error.
-		w.Link.A().Send(p, encodeNotify("zip9000"))
+		w.Link.A().Send(p, EncodeNotify("zip9000"))
 		raw, ok = w.Link.A().Recv(p)
-		gotErr = gotErr && ok && raw[0] == tagError
+		gotErr = gotErr && ok && raw[0] == TagError
 		w.Client.Close(p)
 	})
 	if err := w.Sim.Run(); err != nil {

@@ -187,12 +187,12 @@ func (c *Client) AttachSteering(agent *steering.Agent) {
 // Connect performs the geometry handshake and announces the initial
 // compression type.
 func (c *Client) Connect(p *vtime.Proc) error {
-	c.ep.Send(p, encodeHello())
+	c.ep.Send(p, EncodeHello())
 	raw, ok := c.ep.Recv(p)
 	if !ok {
 		return fmt.Errorf("avis: connection closed during handshake")
 	}
-	geom, err := decodeGeom(raw)
+	geom, err := DecodeGeom(raw)
 	if err != nil {
 		return err
 	}
@@ -203,7 +203,7 @@ func (c *Client) Connect(p *vtime.Proc) error {
 
 // Close ends the session.
 func (c *Client) Close(p *vtime.Proc) {
-	c.ep.Send(p, encodeClose())
+	c.ep.Send(p, EncodeClose())
 	c.ep.Close()
 }
 
@@ -216,7 +216,7 @@ func (c *Client) notify(p *vtime.Proc, codecName string) {
 		return
 	}
 	c.codec = codec
-	c.ep.Send(p, encodeNotify(codecName))
+	c.ep.Send(p, EncodeNotify(codecName))
 }
 
 // maybeSteer polls the steering agent at a transition point. Level changes
@@ -306,7 +306,7 @@ func (c *Client) FetchImage(p *vtime.Proc, img int) (ImageStat, error) {
 				Image: img, Seq: c.seq,
 				X: x, Y: y, R: fullR, PrevR: fullPrev, Level: activeLevel,
 			}
-			c.ep.Send(p, encodeRequest(req))
+			c.ep.Send(p, EncodeRequest(req))
 			rawBytes, wireBytes, err = c.receiveRound(p, img, c.seq, canvas)
 			if errors.Is(err, errRoundStalled) && attempt < c.maxRetries {
 				c.retries++
@@ -408,10 +408,10 @@ func (c *Client) receiveRound(p *vtime.Proc, img, seq int, canvas *wavelet.Canva
 		if len(msg) == 0 {
 			continue
 		}
-		if msg[0] == tagError {
+		if msg[0] == TagError {
 			return 0, 0, fmt.Errorf("avis: server error: %s", msg[1:])
 		}
-		seg, err := decodeSegment(msg)
+		seg, err := DecodeSegment(msg)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -6,15 +6,16 @@ import (
 )
 
 // Wire protocol. Each link message carries exactly one protocol message;
-// the first byte is the type tag.
+// the first byte is the type tag. The codecs are exported because the edge
+// tier (internal/edge) speaks the same messages on both of its legs.
 const (
-	tagHello   = 'H' // client → server: request geometry
-	tagGeom    = 'G' // server → client: side, levels, image count
-	tagNotify  = 'N' // client → server: compression type (Figure 2's notify)
-	tagRequest = 'R' // client → server: foveal increment request
-	tagSegment = 'S' // server → client: one reply segment
-	tagClose   = 'C' // client → server: end of session
-	tagError   = 'E' // server → client: request failed
+	TagHello   = 'H' // client → server: request geometry
+	TagGeom    = 'G' // server → client: side, levels, image count
+	TagNotify  = 'N' // client → server: compression type (Figure 2's notify)
+	TagRequest = 'R' // client → server: foveal increment request
+	TagSegment = 'S' // server → client: one reply segment
+	TagClose   = 'C' // client → server: end of session
+	TagError   = 'E' // server → client: request failed
 )
 
 // Geometry describes the served image set.
@@ -48,19 +49,22 @@ type Segment struct {
 	Payload []byte
 }
 
-func encodeHello() []byte { return []byte{tagHello} }
+// EncodeHello renders the client handshake request.
+func EncodeHello() []byte { return []byte{TagHello} }
 
-func encodeGeom(g Geometry) []byte {
+// EncodeGeom renders a server geometry announcement.
+func EncodeGeom(g Geometry) []byte {
 	out := make([]byte, 13)
-	out[0] = tagGeom
+	out[0] = TagGeom
 	binary.LittleEndian.PutUint32(out[1:], uint32(g.Side))
 	binary.LittleEndian.PutUint32(out[5:], uint32(g.Levels))
 	binary.LittleEndian.PutUint32(out[9:], uint32(g.NumImages))
 	return out
 }
 
-func decodeGeom(b []byte) (Geometry, error) {
-	if len(b) != 13 || b[0] != tagGeom {
+// DecodeGeom parses a geometry announcement.
+func DecodeGeom(b []byte) (Geometry, error) {
+	if len(b) != 13 || b[0] != TagGeom {
 		return Geometry{}, fmt.Errorf("avis: malformed geometry message")
 	}
 	return Geometry{
@@ -70,24 +74,27 @@ func decodeGeom(b []byte) (Geometry, error) {
 	}, nil
 }
 
-func encodeNotify(codec string) []byte {
+// EncodeNotify renders a codec-change announcement.
+func EncodeNotify(codec string) []byte {
 	out := make([]byte, 2+len(codec))
-	out[0] = tagNotify
+	out[0] = TagNotify
 	out[1] = byte(len(codec))
 	copy(out[2:], codec)
 	return out
 }
 
-func decodeNotify(b []byte) (string, error) {
-	if len(b) < 2 || b[0] != tagNotify || len(b) != 2+int(b[1]) {
+// DecodeNotify parses a codec-change announcement.
+func DecodeNotify(b []byte) (string, error) {
+	if len(b) < 2 || b[0] != TagNotify || len(b) != 2+int(b[1]) {
 		return "", fmt.Errorf("avis: malformed notify message")
 	}
 	return string(b[2:]), nil
 }
 
-func encodeRequest(r Request) []byte {
+// EncodeRequest renders a foveal increment request.
+func EncodeRequest(r Request) []byte {
 	out := make([]byte, 26)
-	out[0] = tagRequest
+	out[0] = TagRequest
 	binary.LittleEndian.PutUint32(out[1:], uint32(r.Image))
 	binary.LittleEndian.PutUint32(out[5:], uint32(r.X))
 	binary.LittleEndian.PutUint32(out[9:], uint32(r.Y))
@@ -98,8 +105,9 @@ func encodeRequest(r Request) []byte {
 	return out
 }
 
-func decodeRequest(b []byte) (Request, error) {
-	if len(b) != 26 || b[0] != tagRequest {
+// DecodeRequest parses a foveal increment request.
+func DecodeRequest(b []byte) (Request, error) {
+	if len(b) != 26 || b[0] != TagRequest {
 		return Request{}, fmt.Errorf("avis: malformed request message")
 	}
 	return Request{
@@ -118,11 +126,11 @@ func decodeRequest(b []byte) (Request, error) {
 const segmentHeadLen = 14
 
 // appendSegmentHead renders a segment message's header (everything but
-// the payload) into dst — the scatter-gather half of encodeSegment, for
+// the payload) into dst — the scatter-gather half of EncodeSegment, for
 // framing a segment around its payload without gluing them together.
 func appendSegmentHead(dst []byte, s Segment) []byte {
 	var out [segmentHeadLen]byte
-	out[0] = tagSegment
+	out[0] = TagSegment
 	binary.LittleEndian.PutUint32(out[1:], uint32(s.Image))
 	binary.LittleEndian.PutUint32(out[5:], uint32(s.Raw))
 	binary.LittleEndian.PutUint32(out[9:], uint32(s.Seq))
@@ -132,13 +140,15 @@ func appendSegmentHead(dst []byte, s Segment) []byte {
 	return append(dst, out[:]...)
 }
 
-func encodeSegment(s Segment) []byte {
+// EncodeSegment renders one reply segment.
+func EncodeSegment(s Segment) []byte {
 	out := appendSegmentHead(make([]byte, 0, segmentHeadLen+len(s.Payload)), s)
 	return append(out, s.Payload...)
 }
 
-func decodeSegment(b []byte) (Segment, error) {
-	if len(b) < 14 || b[0] != tagSegment {
+// DecodeSegment parses one reply segment; its Payload aliases b.
+func DecodeSegment(b []byte) (Segment, error) {
+	if len(b) < 14 || b[0] != TagSegment {
 		return Segment{}, fmt.Errorf("avis: malformed segment message")
 	}
 	return Segment{
@@ -150,8 +160,10 @@ func decodeSegment(b []byte) (Segment, error) {
 	}, nil
 }
 
-func encodeError(msg string) []byte {
-	return append([]byte{tagError}, msg...)
+// EncodeError renders a server-side failure notice.
+func EncodeError(msg string) []byte {
+	return append([]byte{TagError}, msg...)
 }
 
-func encodeClose() []byte { return []byte{tagClose} }
+// EncodeClose renders the end-of-session notice.
+func EncodeClose() []byte { return []byte{TagClose} }

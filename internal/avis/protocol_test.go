@@ -10,24 +10,24 @@ import (
 
 func TestGeomRoundTrip(t *testing.T) {
 	g := Geometry{Side: 1024, Levels: 4, NumImages: 10}
-	got, err := decodeGeom(encodeGeom(g))
+	got, err := DecodeGeom(EncodeGeom(g))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != g {
 		t.Fatalf("round trip %+v", got)
 	}
-	if _, err := decodeGeom([]byte{tagGeom, 1}); err == nil {
+	if _, err := DecodeGeom([]byte{TagGeom, 1}); err == nil {
 		t.Fatal("short geometry accepted")
 	}
-	if _, err := decodeGeom(encodeHello()); err == nil {
+	if _, err := DecodeGeom(EncodeHello()); err == nil {
 		t.Fatal("wrong tag accepted")
 	}
 }
 
 func TestNotifyRoundTrip(t *testing.T) {
 	for _, name := range []string{"lzw", "bzw", "raw", ""} {
-		got, err := decodeNotify(encodeNotify(name))
+		got, err := DecodeNotify(EncodeNotify(name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestNotifyRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %q", got)
 		}
 	}
-	if _, err := decodeNotify([]byte{tagNotify, 5, 'a'}); err == nil {
+	if _, err := DecodeNotify([]byte{TagNotify, 5, 'a'}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -46,13 +46,13 @@ func TestRequestRoundTripProperty(t *testing.T) {
 			Image: int(img), X: int(x), Y: int(y),
 			R: int(r), PrevR: int(prev), Level: int(level % 8),
 		}
-		got, err := decodeRequest(encodeRequest(req))
+		got, err := DecodeRequest(EncodeRequest(req))
 		return err == nil && got == req
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeRequest([]byte{tagRequest, 0}); err == nil {
+	if _, err := DecodeRequest([]byte{TagRequest, 0}); err == nil {
 		t.Fatal("short request accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 func TestSegmentRoundTripProperty(t *testing.T) {
 	f := func(img uint16, raw uint16, last bool, payload []byte) bool {
 		seg := Segment{Image: int(img), Raw: int(raw), Last: last, Payload: payload}
-		got, err := decodeSegment(encodeSegment(seg))
+		got, err := DecodeSegment(EncodeSegment(seg))
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestSegmentRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeSegment([]byte{tagSegment}); err == nil {
+	if _, err := DecodeSegment([]byte{TagSegment}); err == nil {
 		t.Fatal("short segment accepted")
 	}
 }
@@ -81,10 +81,10 @@ func TestSegmentRoundTripProperty(t *testing.T) {
 func TestDecodersRejectFuzz(t *testing.T) {
 	f := func(data []byte) bool {
 		// None of these may panic; errors are expected.
-		decodeGeom(data)
-		decodeNotify(data)
-		decodeRequest(data)
-		decodeSegment(data)
+		DecodeGeom(data)
+		DecodeNotify(data)
+		DecodeRequest(data)
+		DecodeSegment(data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -98,17 +98,17 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	w.Sim.Spawn("fuzzer", func(p *vtime.Proc) {
 		for _, msg := range [][]byte{
 			{0xFF, 1, 2, 3},
-			{tagRequest},
-			{tagNotify, 200},
-			{tagGeom},
+			{TagRequest},
+			{TagNotify, 200},
+			{TagGeom},
 		} {
 			w.Link.A().Send(p, msg)
 			reply, ok := w.Link.A().Recv(p)
-			if !ok || len(reply) == 0 || reply[0] != tagError {
+			if !ok || len(reply) == 0 || reply[0] != TagError {
 				t.Errorf("message %v: reply %v %v", msg, reply, ok)
 			}
 		}
-		w.Link.A().Send(p, encodeClose())
+		w.Link.A().Send(p, EncodeClose())
 	})
 	if err := w.Sim.Run(); err != nil {
 		t.Fatal(err)

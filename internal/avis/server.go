@@ -140,10 +140,10 @@ func (s *Server) Run(p *vtime.Proc) error {
 			continue
 		}
 		switch raw[0] {
-		case tagHello:
-			sendQ.Send(p, encodeGeom(s.geom))
-		case tagNotify:
-			name, err := decodeNotify(raw)
+		case TagHello:
+			sendQ.Send(p, EncodeGeom(s.geom))
+		case TagNotify:
+			name, err := DecodeNotify(raw)
 			if err != nil {
 				s.fail(p, sendQ, err)
 				continue
@@ -155,8 +155,8 @@ func (s *Server) Run(p *vtime.Proc) error {
 			}
 			s.codec = codec
 			s.stats.notifies.Add(1)
-		case tagRequest:
-			req, err := decodeRequest(raw)
+		case TagRequest:
+			req, err := DecodeRequest(raw)
 			if err != nil {
 				s.fail(p, sendQ, err)
 				continue
@@ -164,7 +164,7 @@ func (s *Server) Run(p *vtime.Proc) error {
 			if err := s.serveRequest(p, sendQ, req); err != nil {
 				s.fail(p, sendQ, err)
 			}
-		case tagClose:
+		case TagClose:
 			return nil
 		default:
 			s.fail(p, sendQ, fmt.Errorf("avis: unknown message tag %q", raw[0]))
@@ -174,7 +174,7 @@ func (s *Server) Run(p *vtime.Proc) error {
 
 func (s *Server) fail(p *vtime.Proc, sendQ *vtime.Chan[[]byte], err error) {
 	s.stats.errors.Add(1)
-	sendQ.Send(p, encodeError(err.Error()))
+	sendQ.Send(p, EncodeError(err.Error()))
 }
 
 // serveRequest extracts, compresses, and streams one foveal increment.
@@ -225,12 +225,12 @@ func (s *Server) serveRequest(p *vtime.Proc, sendQ *vtime.Chan[[]byte], req Requ
 			Last:    end == total,
 			Payload: enc[off:end],
 		}
-		sendQ.Send(p, encodeSegment(seg))
+		sendQ.Send(p, EncodeSegment(seg))
 		if end == total {
 			break
 		}
 	}
-	// encodeSegment copies the payload, so the codec output can be recycled.
+	// EncodeSegment copies the payload, so the codec output can be recycled.
 	bufpool.Put(enc)
 	return nil
 }

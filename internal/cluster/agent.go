@@ -22,8 +22,8 @@ const hbJitter = 0.10
 // the coordinator and renews it with periodic flushes of the node's
 // coalesced load delta (a one-entry binary delta batch — the liveness
 // signal is the frame itself, the payload is the net session change since
-// the last accepted flush, so an idle node's heartbeat costs no JSON and
-// no allocation on either side). It survives coordinator restarts — a
+// the last accepted flush, so an idle node's heartbeat costs no
+// allocation on either side). It survives coordinator restarts — a
 // flush answered with its own ID in ack.Unknown (or a broken connection)
 // triggers re-registration on the next beat.
 type Agent struct {
@@ -103,10 +103,6 @@ func (a *Agent) SetRetryPolicy(attempts int, b Backoff, budget *RetryBudget) {
 // SetDialer interposes on control-plane dials (fault injection).
 func (a *Agent) SetDialer(dial DialFunc) { a.cl.setDialer(dial) }
 
-// SetWireV1 pins the agent's control connections to v1 framing and JSON
-// bodies, as a pre-v2 build would speak (mixed-version rollouts, tests).
-func (a *Agent) SetWireV1(v bool) { a.cl.setWireV1(v) }
-
 // MissedBeats reports the current run of consecutive failed heartbeats.
 func (a *Agent) MissedBeats() int { return int(a.missed.Load()) }
 
@@ -122,10 +118,7 @@ func (a *Agent) Start() error {
 }
 
 func (a *Agent) register() error {
-	_, err := a.cl.call(ctrlReq{
-		js: func() []byte { return encodeCtrl(ctagRegister, a.node) },
-		v2: func(buf []byte) ([]byte, error) { return encodeRegisterV2(buf, a.node) },
-	})
+	_, err := a.cl.request(func(buf []byte) ([]byte, error) { return encodeRegisterV2(buf, a.node) })
 	return err
 }
 
@@ -159,7 +152,7 @@ func (a *Agent) flush() {
 		log.Printf("cluster: agent %s: encode delta: %v", a.node.ID, err)
 		return
 	}
-	ack, err := a.cl.call(ctrlReq{raw: frame}) // binary in both wire modes
+	ack, err := a.cl.call(frame)
 	bufpool.Put(frame)
 	if err != nil {
 		// The call layer already retried with backoff; a failure here
@@ -199,9 +192,8 @@ func (a *Agent) Close(deregister bool) {
 		close(a.stop)
 		<-a.done
 		if deregister {
-			if _, err := a.cl.call(ctrlReq{
-				js: func() []byte { return encodeCtrl(ctagDeregister, nodeIDMsg{ID: a.node.ID}) },
-				v2: func(buf []byte) ([]byte, error) { return encodeNodeIDV2(buf, ctagDeregister, a.node.ID) },
+			if _, err := a.cl.request(func(buf []byte) ([]byte, error) {
+				return encodeNodeIDV2(buf, ctagDeregister, a.node.ID)
 			}); err != nil {
 				log.Printf("cluster: agent %s: deregister: %v", a.node.ID, err)
 			}

@@ -10,12 +10,9 @@ import (
 	"tunable/internal/metrics"
 )
 
-// Control-plane benchmarks behind BENCH_control.json. The pair to compare
-// is HeartbeatJSON (the pre-shard design: one JSON frame per node per
-// interval, dispatched into a single-shard registry — the single-mutex
-// baseline) against HeartbeatDelta (batched binary deltas applied to the
-// sharded registry): ns/op is per logical heartbeat in both, so
-// baseline/delta is the registry ops/sec speedup. Resolve measures the
+// Control-plane benchmarks behind BENCH_control.json. HeartbeatDelta
+// measures the heartbeat path (batched binary deltas applied to the
+// sharded registry), per logical heartbeat. Resolve measures the
 // placement decision (grant + teardown) at 10k registered nodes.
 
 const benchNodes = 10000
@@ -45,24 +42,7 @@ func benchCoordinator(b *testing.B, shards int) (*Coordinator, []string) {
 	return c, ids
 }
 
-// BenchmarkControlHeartbeatJSON is the single-mutex baseline: per-node
-// JSON heartbeat frames dispatched one at a time into a 1-shard registry,
-// ack encoded per frame — what every heartbeat cost before this change.
-func BenchmarkControlHeartbeatJSON(b *testing.B) {
-	c, ids := benchCoordinator(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame := encodeCtrl(ctagHeartbeat, heartbeatMsg{ID: ids[i%benchNodes], Load: Load{ActiveSessions: i & 7}})
-		ack := c.dispatch(frame)
-		if !ack.OK || !ack.Known {
-			b.Fatalf("heartbeat refused: %+v", ack)
-		}
-		_ = encodeCtrl(ctagAck, ack)
-	}
-}
-
-// BenchmarkControlHeartbeatDelta is the new wire path: binary delta
+// BenchmarkControlHeartbeatDelta is the heartbeat wire path: binary delta
 // batches of 128 entries against the sharded registry; ns/op is still per
 // logical heartbeat (one entry), with the frame encode, dispatch, and ack
 // encode amortized over the batch exactly as on the wire.
@@ -84,7 +64,11 @@ func BenchmarkControlHeartbeatDelta(b *testing.B) {
 			if !ack.OK || len(ack.Unknown) != 0 {
 				b.Fatalf("delta refused: %+v", ack)
 			}
-			_ = encodeCtrl(ctagAck, ack)
+			reply, err := encodeAckV2(bufpool.Get(512)[:0], &ack)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bufpool.Put(reply)
 			entries = entries[:0]
 		}
 	}

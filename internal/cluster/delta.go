@@ -7,15 +7,15 @@ import (
 	"tunable/internal/bufpool"
 )
 
-// Batched heartbeat deltas. The per-node JSON heartbeat costs one marshal
-// and one unmarshal per node per interval — at fleet scale the coordinator
-// spends its time in the codec, not the registry. A delta frame instead
-// carries a batch of (node ID, net session delta) pairs in a hand-packed
-// binary body that decodes with zero allocations, and one frame renews
-// many nodes: the liveness observation is the frame's arrival, the load
-// update is the coalesced net delta since the last accepted flush
-// (Roy & Mukherjee's multi-agent argument — aggregate at the edge, ship
-// deltas, never per-op).
+// Batched heartbeat deltas. A per-node heartbeat message would cost one
+// encode and one decode per node per interval — at fleet scale the
+// coordinator would spend its time in the codec, not the registry. A
+// delta frame instead carries a batch of (node ID, net session delta)
+// pairs in a hand-packed binary body that decodes with zero allocations,
+// and one frame renews many nodes: the liveness observation is the
+// frame's arrival, the load update is the coalesced net delta since the
+// last accepted flush (Roy & Mukherjee's multi-agent argument — aggregate
+// at the edge, ship deltas, never per-op).
 //
 // Wire layout (after the ctagDelta tag byte):
 //

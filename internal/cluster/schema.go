@@ -7,14 +7,12 @@ import (
 	"tunable/internal/wire"
 )
 
-// Schema-coded control messages: the wire.CapSchemaCtrl encoding of every
-// control-plane body. Each message keeps its ctag* tag byte; only the
-// body changes from JSON to the runtime-interpreted binary schemas below.
-// Field tags are append-only — a new field gets the next tag and old
-// decoders skip it by wire type — which is the forward-compatibility
-// contract that lets mixed-version control planes talk during rolling
-// upgrades (the same property JSON gave us, at a fraction of the cost:
-// see BENCH_wire.json).
+// Schema-coded control messages: the body encoding of every control-plane
+// request and reply except the packed delta batch. Each message keeps its
+// ctag* tag byte; the body is a runtime-interpreted binary schema (the
+// *V2 codecs below). Field tags are append-only — a new field gets the
+// next tag and decoders skip tags they do not know by wire type — so a
+// retired field's tag is never reused.
 //
 // Maps (sample resources/metrics) are encoded as repeated {k, v}
 // sub-messages with keys sorted, so equal messages encode to equal bytes.
@@ -35,11 +33,6 @@ var (
 		wire.Field{Name: "levels", Tag: 7, Kind: wire.Uint},
 		wire.Field{Name: "seed", Tag: 8, Kind: wire.Sint}, // repeated
 		wire.Field{Name: "sig", Tag: 9, Kind: wire.String},
-	)
-
-	schHeartbeat = wire.NewSchema("heartbeat",
-		wire.Field{Name: "id", Tag: 1, Kind: wire.String, Required: true},
-		wire.Field{Name: "active", Tag: 2, Kind: wire.Uint},
 	)
 
 	schNodeID = wire.NewSchema("node_id",
@@ -111,7 +104,7 @@ var (
 	schAck = wire.NewSchema("ack",
 		wire.Field{Name: "ok", Tag: 1, Kind: wire.Bool},
 		wire.Field{Name: "err", Tag: 2, Kind: wire.String},
-		wire.Field{Name: "known", Tag: 3, Kind: wire.Bool},
+		// Tag 3 is retired: the heartbeat reply's "known" flag.
 		wire.Field{Name: "grant", Tag: 4, Kind: wire.Msg},
 		wire.Field{Name: "node", Tag: 5, Kind: wire.Msg},       // repeated NodeStatus
 		wire.Field{Name: "unknown", Tag: 6, Kind: wire.String}, // repeated
@@ -226,29 +219,6 @@ func decodeRegisterV2(body []byte) (NodeInfo, error) {
 	return info, d.Err()
 }
 
-func encodeHeartbeatV2(buf []byte, hb heartbeatMsg) ([]byte, error) {
-	var e wire.Encoder
-	e.Init(schHeartbeat, append(buf, ctagHeartbeat))
-	e.Str("id", hb.ID)
-	e.Uint("active", uint64(hb.Load.ActiveSessions))
-	return e.Finish()
-}
-
-func decodeHeartbeatV2(body []byte) (heartbeatMsg, error) {
-	var d wire.Decoder
-	d.Init(schHeartbeat, body)
-	var hb heartbeatMsg
-	for d.Next() {
-		switch d.Field().Name {
-		case "id":
-			hb.ID = d.Str()
-		case "active":
-			hb.Load.ActiveSessions = int(d.Uint())
-		}
-	}
-	return hb, d.Err()
-}
-
 func encodeNodeIDV2(buf []byte, tag byte, id string) ([]byte, error) {
 	var e wire.Encoder
 	e.Init(schNodeID, append(buf, tag))
@@ -256,16 +226,16 @@ func encodeNodeIDV2(buf []byte, tag byte, id string) ([]byte, error) {
 	return e.Finish()
 }
 
-func decodeNodeIDV2(body []byte) (nodeIDMsg, error) {
+func decodeNodeIDV2(body []byte) (string, error) {
 	var d wire.Decoder
 	d.Init(schNodeID, body)
-	var m nodeIDMsg
+	var id string
 	for d.Next() {
 		if d.Field().Name == "id" {
-			m.ID = d.Str()
+			id = d.Str()
 		}
 	}
-	return m, d.Err()
+	return id, d.Err()
 }
 
 func encodeSessionV2(buf []byte, sid string) ([]byte, error) {
@@ -275,16 +245,16 @@ func encodeSessionV2(buf []byte, sid string) ([]byte, error) {
 	return e.Finish()
 }
 
-func decodeSessionV2(body []byte) (sessionMsg, error) {
+func decodeSessionV2(body []byte) (string, error) {
 	var d wire.Decoder
 	d.Init(schSession, body)
-	var m sessionMsg
+	var sid string
 	for d.Next() {
 		if d.Field().Name == "sid" {
-			m.SID = d.Str()
+			sid = d.Str()
 		}
 	}
-	return m, d.Err()
+	return sid, d.Err()
 }
 
 func encodeResolveV2(buf []byte, req ResolveRequest) ([]byte, error) {
@@ -397,20 +367,20 @@ func encodePerfIngestV2(buf []byte, samples []perfstore.WireSample) ([]byte, err
 	return e.Finish()
 }
 
-func decodePerfIngestV2(body []byte) (perfIngestMsg, error) {
+func decodePerfIngestV2(body []byte) ([]perfstore.WireSample, error) {
 	var d wire.Decoder
 	d.Init(schPerfIngest, body)
-	var m perfIngestMsg
+	var samples []perfstore.WireSample
 	for d.Next() {
 		if d.Field().Name == "sample" {
 			s, err := decodeSampleV2(d.MsgBytes())
 			if err != nil {
-				return m, err
+				return samples, err
 			}
-			m.Samples = append(m.Samples, s)
+			samples = append(samples, s)
 		}
 	}
-	return m, d.Err()
+	return samples, d.Err()
 }
 
 func encodePerfProfileV2(buf []byte, configKey string) ([]byte, error) {
@@ -420,16 +390,16 @@ func encodePerfProfileV2(buf []byte, configKey string) ([]byte, error) {
 	return e.Finish()
 }
 
-func decodePerfProfileV2(body []byte) (perfProfileMsg, error) {
+func decodePerfProfileV2(body []byte) (string, error) {
 	var d wire.Decoder
 	d.Init(schPerfProfile, body)
-	var m perfProfileMsg
+	var key string
 	for d.Next() {
 		if d.Field().Name == "config" {
-			m.ConfigKey = d.Str()
+			key = d.Str()
 		}
 	}
-	return m, d.Err()
+	return key, d.Err()
 }
 
 func encodeGrantBody(e *wire.Encoder, g ResolveGrant) {
@@ -595,9 +565,6 @@ func encodeAckV2(buf []byte, ack *ackMsg) ([]byte, error) {
 	if ack.Err != "" {
 		e.Str("err", ack.Err)
 	}
-	if ack.Known {
-		e.Bool("known", true)
-	}
 	if ack.Grant != (ResolveGrant{}) {
 		g := ack.Grant
 		if err := e.Msg("grant", schGrant, func(e *wire.Encoder) {
@@ -645,8 +612,6 @@ func decodeAckV2(body []byte) (ackMsg, error) {
 			ack.OK = d.Bool()
 		case "err":
 			ack.Err = d.Str()
-		case "known":
-			ack.Known = d.Bool()
 		case "grant":
 			g, err := decodeGrantV2(d.MsgBytes())
 			if err != nil {

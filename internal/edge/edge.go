@@ -307,13 +307,16 @@ func (p *Proxy) Shutdown(timeout time.Duration) int {
 }
 
 // handle services one client connection, mirroring RealServer's loop.
-// Origin transport failures (after retries) return without a tagError
+// Origin transport failures (after retries) return without a TagError
 // frame, dropping the connection so a cluster FailoverClient re-places
 // the session — typically straight onto the origin.
 func (p *Proxy) handle(conn net.Conn) error {
 	p.mConns.Inc()
 	wc := wire.NewConn(conn, p.cfg.IOTimeout)
 	wc.SetInstruments(p.wInst)
+	if err := wc.AcceptClient(0); err != nil {
+		return avis.WrapTimeout("negotiate", p.cfg.IOTimeout, err)
+	}
 	codec, _ := compress.Lookup("raw")
 	track := p.newTracker()
 	for {
@@ -323,18 +326,6 @@ func (p *Proxy) handle(conn net.Conn) error {
 				return nil
 			}
 			return avis.WrapTimeout("read", p.cfg.IOTimeout, err)
-		}
-		if len(msg) == 0 {
-			bufpool.Put(msg)
-			continue
-		}
-		if wire.IsNegotiate(msg) {
-			err := wc.AcceptV2(msg, 0)
-			bufpool.Put(msg)
-			if err != nil {
-				return avis.WrapTimeout("write", p.cfg.IOTimeout, err)
-			}
-			continue
 		}
 		werr := error(nil)
 		switch msg[0] {

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -174,8 +175,15 @@ func TestArbiterSharesHoldUnderChurn(t *testing.T) {
 	a := testArbiter(t, resource.Vector{resource.Bandwidth: pool}, shares...)
 	guarantee := pool / classes
 
+	// held tracks each class's holdings across both of its workers. It is
+	// updated under the same lock as the Acquire/Release it mirrors, so a
+	// refusal is judged against the class's exact holdings at that moment.
+	var (
+		mu      sync.Mutex
+		held    = map[string]float64{}
+		refused []error
+	)
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -183,39 +191,40 @@ func TestArbiterSharesHoldUnderChurn(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			class := names[w%classes]
-			var held []*ClassGrant
-			heldTotal := 0.0
-			for i := 0; i < iters; i++ {
-				if len(held) > 0 && rng.Intn(2) == 0 {
-					g := held[len(held)-1]
-					held = held[:len(held)-1]
-					heldTotal -= bite
-					a.Release(g)
-					continue
-				}
-				g, err := a.Acquire(class, resource.Vector{resource.Bandwidth: bite})
-				if err != nil {
-					// A refusal is only legitimate when this worker's class
-					// may already be at its guarantee. Two workers share a
-					// class, so this worker's holdings alone must not be
-					// under half the guarantee.
-					if heldTotal+bite <= guarantee/2 {
-						errs <- err
-						return
-					}
-					continue
-				}
-				held = append(held, g)
-				heldTotal += bite
-			}
-			for _, g := range held {
+			var mine []*ClassGrant
+			release := func(g *ClassGrant) {
+				mu.Lock()
 				a.Release(g)
+				held[class] -= bite
+				mu.Unlock()
+			}
+			for i := 0; i < iters; i++ {
+				if len(mine) > 0 && rng.Intn(2) == 0 {
+					release(mine[len(mine)-1])
+					mine = mine[:len(mine)-1]
+					continue
+				}
+				mu.Lock()
+				g, err := a.Acquire(class, resource.Vector{resource.Bandwidth: bite})
+				if err == nil {
+					held[class] += bite
+				} else if held[class]+bite <= guarantee {
+					// The class as a whole is still within its guarantee:
+					// the arbiter must not refuse.
+					refused = append(refused, fmt.Errorf("class %s holding %g: %w", class, held[class], err))
+				}
+				mu.Unlock()
+				if err == nil {
+					mine = append(mine, g)
+				}
+			}
+			for _, g := range mine {
+				release(g)
 			}
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
+	for _, err := range refused {
 		t.Errorf("acquisition within guarantee refused under churn: %v", err)
 	}
 	// Everything released: holdings drain to zero.

@@ -11,10 +11,9 @@ import (
 
 // The BenchmarkWire* suite is recorded as BENCH_wire.json
 // (scripts/bench_wire.sh) and gated by scripts/bench_check.sh: frame
-// write/read under both framing versions, and the schema codec against
-// the JSON bodies it replaced on the control plane, on two
-// representative messages (the steady-state heartbeat and the
-// placement-time resolve).
+// write and read, and the schema codec against the JSON bodies it
+// replaced on the control plane, on two representative messages (a
+// small id+count body and the placement-time resolve).
 
 // loopReader serves the same encoded frame forever, so read benchmarks
 // measure decoding, not buffer refills.
@@ -33,12 +32,11 @@ func (l *loopReader) Write(p []byte) (int, error) { return len(p), nil }
 
 var benchMsg = append([]byte{'S'}, bytes.Repeat([]byte{0xA5}, 256)...)
 
-func benchWriteFrame(b *testing.B, ver Version) {
+func BenchmarkWireWriteFrameV2(b *testing.B) {
 	c := NewStream(struct {
 		io.Reader
 		io.Writer
 	}{nil, io.Discard})
-	c.ver = ver
 	b.SetBytes(int64(len(benchMsg)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -49,18 +47,13 @@ func benchWriteFrame(b *testing.B, ver Version) {
 	}
 }
 
-func BenchmarkWireWriteFrameV1(b *testing.B) { benchWriteFrame(b, V1) }
-func BenchmarkWireWriteFrameV2(b *testing.B) { benchWriteFrame(b, V2) }
-
-func benchReadFrame(b *testing.B, ver Version) {
+func BenchmarkWireReadFrameV2(b *testing.B) {
 	var buf bytes.Buffer
 	w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-	w.ver = ver
 	if err := w.WriteMsg(benchMsg); err != nil {
 		b.Fatal(err)
 	}
 	c := NewStream(&loopReader{frame: buf.Bytes()})
-	c.ver = ver
 	b.SetBytes(int64(len(benchMsg)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -73,12 +66,10 @@ func benchReadFrame(b *testing.B, ver Version) {
 	}
 }
 
-func BenchmarkWireReadFrameV1(b *testing.B) { benchReadFrame(b, V1) }
-func BenchmarkWireReadFrameV2(b *testing.B) { benchReadFrame(b, V2) }
-
-// Mirrors of the control plane's heartbeat and resolve bodies, in both
-// codecs, so the suite captures the JSON→schema delta without importing
-// internal/cluster (which would cycle).
+// Test-local control bodies — an id+count message and a mirror of the
+// resolve request — in both codecs, so the suite captures the
+// JSON→schema delta without importing internal/cluster (which would
+// cycle).
 
 var benchHeartbeatSchema = NewSchema("heartbeat",
 	Field{Name: "id", Tag: 1, Kind: String, Required: true},

@@ -15,11 +15,8 @@ import (
 // Instruments carries the per-connection wire telemetry. All fields are
 // nil-safe, so uninstrumented deployments pay nothing.
 type Instruments struct {
-	FramesV1 *metrics.Counter // wire_frames_total{version="1"}
-	FramesV2 *metrics.Counter // wire_frames_total{version="2"}
-
-	NegotiatedV2 *metrics.Counter // wire_negotiations_total{outcome="v2"}
-	FallbackV1   *metrics.Counter // wire_negotiations_total{outcome="fallback_v1"}
+	Frames       *metrics.Counter // wire_frames_total{version="2"}
+	Negotiated   *metrics.Counter // wire_negotiations_total{outcome="v2"}
 	NegotiateErr *metrics.Counter // wire_negotiations_total{outcome="error"}
 }
 
@@ -29,12 +26,10 @@ type Instruments struct {
 // so every component sharing a registry shares the counters.
 func NewInstruments(reg *metrics.Registry) Instruments {
 	const framesHelp = "Protocol frames read or written, by framing version."
-	const negHelp = "Version negotiations, by outcome (v2, fallback_v1, error)."
+	const negHelp = "Connection handshakes, by outcome (v2, error)."
 	return Instruments{
-		FramesV1:     reg.Counter("wire_frames_total", framesHelp, metrics.L("version", "1")),
-		FramesV2:     reg.Counter("wire_frames_total", framesHelp, metrics.L("version", "2")),
-		NegotiatedV2: reg.Counter("wire_negotiations_total", negHelp, metrics.L("outcome", "v2")),
-		FallbackV1:   reg.Counter("wire_negotiations_total", negHelp, metrics.L("outcome", "fallback_v1")),
+		Frames:       reg.Counter("wire_frames_total", framesHelp, metrics.L("version", "2")),
+		Negotiated:   reg.Counter("wire_negotiations_total", negHelp, metrics.L("outcome", "v2")),
 		NegotiateErr: reg.Counter("wire_negotiations_total", negHelp, metrics.L("outcome", "error")),
 	}
 }
@@ -60,8 +55,8 @@ type pendingFrame struct {
 	p1, p2         []byte
 }
 
-// Conn frames messages over one stream. It owns the framing version and
-// capability set (fixed by negotiation), arms progress deadlines on the
+// Conn frames messages over one stream. It owns the capability set (fixed
+// by the handshake), arms progress deadlines on the
 // underlying net.Conn — surfacing arming failures instead of proceeding
 // with an unarmed deadline on a half-closed socket — and guarantees that
 // concurrently written frames never interleave on the wire: every flush
@@ -73,15 +68,13 @@ type pendingFrame struct {
 // concurrency-safe — one goroutine owns the read side, as with any
 // stream — but any number of goroutines may call WriteMsg.
 //
-// In both framings a message is its v1 byte shape: the first byte is the
-// tag, the rest the body. V2 carries the tag in the frame header and
-// splices it back on read, so consumers never see the difference.
+// A message is tag-prefixed: the first byte is the tag, the rest the body.
+// The frame carries the tag in its header and ReadMsg splices it back.
 type Conn struct {
 	nc       net.Conn // nil when constructed over a plain stream
 	rw       io.ReadWriter
 	br       *bufio.Reader
 	timeout  time.Duration
-	ver      Version
 	caps     Caps
 	vectored bool
 	inst     Instruments
@@ -97,10 +90,10 @@ const readBufSize = 64 << 10
 // NewConn frames messages over a network connection. timeout, when
 // positive, is the per-operation progress deadline armed before every
 // underlying read and write (the same discipline as avis frame I/O); 0
-// waits forever. The connection starts in v1 framing until negotiation
-// upgrades it.
+// waits forever. Run StartClient or AcceptClient before the first
+// message.
 func NewConn(c net.Conn, timeout time.Duration) *Conn {
-	w := &Conn{nc: c, rw: c, timeout: timeout, ver: V1, vectored: vectoredConn(c)}
+	w := &Conn{nc: c, rw: c, timeout: timeout, vectored: vectoredConn(c)}
 	w.br = bufio.NewReaderSize(readerFunc(w.read), readBufSize)
 	return w
 }
@@ -108,7 +101,7 @@ func NewConn(c net.Conn, timeout time.Duration) *Conn {
 // NewStream frames messages over an arbitrary stream (tests, in-memory
 // pipes). No deadlines are armed.
 func NewStream(rw io.ReadWriter) *Conn {
-	w := &Conn{rw: rw, ver: V1}
+	w := &Conn{rw: rw}
 	w.br = bufio.NewReaderSize(readerFunc(w.read), readBufSize)
 	return w
 }
@@ -135,60 +128,20 @@ func (c *Conn) SetTimeout(d time.Duration) { c.timeout = d }
 // SetInstruments installs telemetry counters (zero value = none).
 func (c *Conn) SetInstruments(i Instruments) { c.inst = i }
 
-// Version reports the framing version in force (V1 until negotiated up).
-func (c *Conn) Version() Version { return c.ver }
-
-// Caps reports the negotiated capability set (0 until negotiated).
+// Caps reports the negotiated capability set (0 until the handshake).
 func (c *Conn) Caps() Caps { return c.caps }
 
-// countFrames bumps the per-version frame counter by n.
-func (c *Conn) countFrames(n int) {
-	if c.ver >= V2 {
-		c.inst.FramesV2.Add(float64(n))
-	} else {
-		c.inst.FramesV1.Add(float64(n))
-	}
-}
-
 // ReadMsg reads one message into a pooled buffer. The returned slice is
-// tag-prefixed regardless of framing version; the caller owns it and may
-// recycle it with bufpool.Put after decoding.
+// tag-prefixed; the caller owns it and may recycle it with bufpool.Put
+// after decoding.
 func (c *Conn) ReadMsg() ([]byte, error) {
-	if c.ver >= V2 {
-		return c.readMsgV2()
-	}
-	return c.readMsgV1()
-}
-
-func (c *Conn) readMsgV1() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary4(hdr[:])
-	if n > FrameLimit {
-		return nil, fmt.Errorf("wire: v1 frame of %d bytes exceeds limit", n)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("wire: v1 frame has no tag byte")
-	}
-	msg := bufpool.Get(int(n))
-	if _, err := io.ReadFull(c.br, msg); err != nil {
-		bufpool.Put(msg)
-		return nil, err
-	}
-	c.countFrames(1)
-	return msg, nil
-}
-
-func (c *Conn) readMsgV2() ([]byte, error) {
 	var hdr [6]byte
 	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary4(hdr[:4])
 	if n > FrameLimit {
-		return nil, fmt.Errorf("wire: v2 frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	// hdr[5] is the flags byte: reserved, tolerated, ignored — a future
 	// sender may set bits an old reader skips, like schema fields.
@@ -198,7 +151,7 @@ func (c *Conn) readMsgV2() ([]byte, error) {
 		bufpool.Put(msg)
 		return nil, err
 	}
-	c.countFrames(1)
+	c.inst.Frames.Inc()
 	return msg, nil
 }
 
@@ -216,23 +169,14 @@ func (c *Conn) appendLocked(head, payload []byte) error {
 	if len(head) == 0 {
 		return fmt.Errorf("wire: empty message (no tag byte)")
 	}
-	size := len(head) + len(payload) // v1 payload size; v2 is one less
-	if c.ver >= V2 {
-		size--
-	}
+	size := len(head) + len(payload) - 1 // the tag rides in the header
 	if size > FrameLimit {
 		return &FrameSizeError{N: size, Limit: FrameLimit}
 	}
 	off := len(c.hdrs)
-	if c.ver >= V2 {
-		c.hdrs = append(c.hdrs, 0, 0, 0, 0, head[0], 0)
-		put4(c.hdrs[off:], uint32(size))
-		c.frames = append(c.frames, pendingFrame{hdrOff: off, hdrLen: 6, p1: head[1:], p2: payload})
-	} else {
-		c.hdrs = append(c.hdrs, 0, 0, 0, 0)
-		put4(c.hdrs[off:], uint32(size))
-		c.frames = append(c.frames, pendingFrame{hdrOff: off, hdrLen: 4, p1: head, p2: payload})
-	}
+	c.hdrs = append(c.hdrs, 0, 0, 0, 0, head[0], 0)
+	put4(c.hdrs[off:], uint32(size))
+	c.frames = append(c.frames, pendingFrame{hdrOff: off, hdrLen: 6, p1: head[1:], p2: payload})
 	return nil
 }
 
@@ -247,10 +191,8 @@ func (c *Conn) flushLocked() error {
 		c.frames = c.frames[:0]
 		c.hdrs = c.hdrs[:0]
 	}()
-	if c.nc != nil && c.timeout > 0 {
-		if err := c.nc.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
-			return fmt.Errorf("wire: arm write deadline: %w", err)
-		}
+	if err := c.armWrite(); err != nil {
+		return err
 	}
 	var err error
 	if c.vectored {
@@ -282,9 +224,19 @@ func (c *Conn) flushLocked() error {
 		bufpool.Put(buf)
 	}
 	if err == nil {
-		c.countFrames(n)
+		c.inst.Frames.Add(float64(n))
 	}
 	return err
+}
+
+// armWrite arms the write deadline, surfacing arming errors.
+func (c *Conn) armWrite() error {
+	if c.nc != nil && c.timeout > 0 {
+		if err := c.nc.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
+			return fmt.Errorf("wire: arm write deadline: %w", err)
+		}
+	}
+	return nil
 }
 
 // WriteMsg writes one tag-prefixed message as a single frame and flushes
@@ -326,68 +278,77 @@ func (c *Conn) Flush() error {
 	return c.flushLocked()
 }
 
-// StartClient performs client-side version negotiation: it sends a probe
-// advertising MaxVersion and want, reads exactly one reply, and either
-// upgrades the connection (v2 peer) or falls back to v1 framing (old
-// peer, which answered the probe from its unknown-message path; that
-// reply is consumed here so the application stream stays aligned).
-func (c *Conn) StartClient(want Caps) error {
-	var probe [negotiateLen]byte
-	if err := c.WriteMsg(appendNegotiate(probe[:0], MaxVersion, want)); err != nil {
-		c.inst.NegotiateErr.Inc()
+// handshakeLen is the size of a handshake record: a little-endian uint32
+// length, always negotiateLen, followed by the negotiation message.
+const handshakeLen = 4 + negotiateLen
+
+// writeHandshake sends this end's handshake record, advertising V2 and
+// caps, in one write.
+func (c *Conn) writeHandshake(caps Caps) error {
+	rec := make([]byte, 4, handshakeLen)
+	put4(rec, negotiateLen)
+	rec = appendNegotiate(rec, V2, caps)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if err := c.armWrite(); err != nil {
 		return err
 	}
-	reply, err := c.readMsgV1()
+	_, err := c.rw.Write(rec)
+	return err
+}
+
+// readHandshake reads the peer's handshake record through the buffered
+// reader and returns the capabilities it advertised. Any other opening
+// — an application frame, a short record, a version below V2 — is an
+// error.
+func (c *Conn) readHandshake() (Caps, error) {
+	var rec [handshakeLen]byte
+	if _, err := io.ReadFull(c.br, rec[:4]); err != nil {
+		return 0, err
+	}
+	if n := binary4(rec[:4]); n != negotiateLen {
+		return 0, fmt.Errorf("wire: peer did not negotiate (opening record of %d bytes)", n)
+	}
+	if _, err := io.ReadFull(c.br, rec[4:]); err != nil {
+		return 0, err
+	}
+	_, caps, err := parseNegotiate(rec[4:])
+	return caps, err
+}
+
+// settle records the handshake outcome: on success the connection's
+// capability set becomes caps.
+func (c *Conn) settle(caps Caps, err error) error {
 	if err != nil {
 		c.inst.NegotiateErr.Inc()
 		return err
 	}
-	if !IsNegotiate(reply) {
-		// An old peer refused the probe in its own vocabulary; discard the
-		// refusal and keep speaking v1.
-		bufpool.Put(reply)
-		c.inst.FallbackV1.Inc()
-		return nil
-	}
-	ver, caps, err := parseNegotiate(reply)
-	bufpool.Put(reply)
-	if err != nil {
-		c.inst.NegotiateErr.Inc()
-		return err
-	}
-	if v := minVersion(MaxVersion, ver); v >= V2 {
-		c.ver = v
-		c.caps = want & caps
-		c.inst.NegotiatedV2.Inc()
-	} else {
-		c.inst.FallbackV1.Inc()
-	}
+	c.caps = caps
+	c.inst.Negotiated.Inc()
 	return nil
 }
 
-// AcceptV2 performs server-side negotiation for a probe the application
-// loop just read (checked with IsNegotiate): it answers with this build's
-// version and offer, then upgrades the connection to the agreed version
-// and capability set. Subsequent ReadMsg/WriteMsg calls use the new
-// framing; the reply itself travels in v1 framing, which the client
-// expects.
-func (c *Conn) AcceptV2(probe []byte, offer Caps) error {
-	ver, caps, err := parseNegotiate(probe)
-	if err != nil {
-		c.inst.NegotiateErr.Inc()
-		return err
+// StartClient runs the client side of the handshake: it sends a record
+// advertising want, then reads the server's. The connection's capability
+// set becomes the AND of both. A peer that answers with anything but a
+// handshake record gets an error; the caller closes the connection.
+func (c *Conn) StartClient(want Caps) error {
+	err := c.writeHandshake(want)
+	var caps Caps
+	if err == nil {
+		caps, err = c.readHandshake()
 	}
-	var reply [negotiateLen]byte
-	if err := c.WriteMsg(appendNegotiate(reply[:0], MaxVersion, offer)); err != nil {
-		c.inst.NegotiateErr.Inc()
-		return err
+	return c.settle(want&caps, err)
+}
+
+// AcceptClient runs the server side of the handshake, once, before the
+// first ReadMsg: it reads the client's record, then answers with one
+// offering offer. A client that opens with anything else is refused with
+// an error and gets no reply; the caller closes the connection.
+func (c *Conn) AcceptClient(offer Caps) error {
+	caps, err := c.readHandshake()
+	if err == nil {
+		err = c.writeHandshake(offer)
 	}
-	if v := minVersion(MaxVersion, ver); v >= V2 {
-		c.ver = v
-		c.caps = offer & caps
-		c.inst.NegotiatedV2.Inc()
-	} else {
-		c.inst.FallbackV1.Inc()
-	}
-	return nil
+	return c.settle(offer&caps, err)
 }

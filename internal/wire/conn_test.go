@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -24,42 +25,39 @@ type duplex struct {
 func (d *duplex) Read(p []byte) (int, error)  { return d.in.Read(p) }
 func (d *duplex) Write(p []byte) (int, error) { return d.out.Write(p) }
 
+// TestFrameRoundTripBothVersions keeps its name from when V1 framing was
+// also spoken; V2 is now the only framing, so only its subtest remains.
 func TestFrameRoundTripBothVersions(t *testing.T) {
-	for _, ver := range []Version{V1, V2} {
-		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
-			var buf bytes.Buffer
-			w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-			w.ver = ver
-			msgs := [][]byte{
-				{'H'},
-				append([]byte{'S'}, bytes.Repeat([]byte{0xAB}, 300)...),
-				{'N', 1, 2, 3},
+	t.Run(fmt.Sprintf("v%d", V2), func(t *testing.T) {
+		var buf bytes.Buffer
+		w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
+		msgs := [][]byte{
+			{'H'},
+			append([]byte{'S'}, bytes.Repeat([]byte{0xAB}, 300)...),
+			{'N', 1, 2, 3},
+		}
+		for _, m := range msgs {
+			if err := w.WriteMsg(m); err != nil {
+				t.Fatalf("WriteMsg: %v", err)
 			}
-			for _, m := range msgs {
-				if err := w.WriteMsg(m); err != nil {
-					t.Fatalf("WriteMsg: %v", err)
-				}
+		}
+		r := NewStream(&duplex{in: &buf, out: &bytes.Buffer{}})
+		for i, want := range msgs {
+			got, err := r.ReadMsg()
+			if err != nil {
+				t.Fatalf("ReadMsg %d: %v", i, err)
 			}
-			r := NewStream(&duplex{in: &buf, out: &bytes.Buffer{}})
-			r.ver = ver
-			for i, want := range msgs {
-				got, err := r.ReadMsg()
-				if err != nil {
-					t.Fatalf("ReadMsg %d: %v", i, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("msg %d: got %x want %x", i, got, want)
-				}
-				bufpool.Put(got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("msg %d: got %x want %x", i, got, want)
 			}
-		})
-	}
+			bufpool.Put(got)
+		}
+	})
 }
 
 func TestV2FrameLayout(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-	w.ver = V2
 	if err := w.WriteMsg([]byte{'R', 9, 8, 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,37 +80,33 @@ func TestV2FrameLayout(t *testing.T) {
 }
 
 func TestAppendFrame2GathersOneMessage(t *testing.T) {
-	for _, ver := range []Version{V1, V2} {
-		var buf bytes.Buffer
-		w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-		w.ver = ver
-		head := []byte{'S', 0, 1}
-		payload := bytes.Repeat([]byte{7}, 50)
-		if err := w.AppendFrame2(head, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.AppendFrame([]byte{'E', 42}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r := NewStream(&duplex{in: &buf, out: &bytes.Buffer{}})
-		r.ver = ver
-		m1, err := r.ReadMsg()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(m1, append(append([]byte{}, head...), payload...)) {
-			t.Fatalf("v%d: gathered frame mismatch (%d bytes)", ver, len(m1))
-		}
-		m2, err := r.ReadMsg()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(m2, []byte{'E', 42}) {
-			t.Fatalf("v%d: second frame %x", ver, m2)
-		}
+	var buf bytes.Buffer
+	w := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
+	head := []byte{'S', 0, 1}
+	payload := bytes.Repeat([]byte{7}, 50)
+	if err := w.AppendFrame2(head, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendFrame([]byte{'E', 42}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewStream(&duplex{in: &buf, out: &bytes.Buffer{}})
+	m1, err := r.ReadMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m1, append(append([]byte{}, head...), payload...)) {
+		t.Fatalf("gathered frame mismatch (%d bytes)", len(m1))
+	}
+	m2, err := r.ReadMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m2, []byte{'E', 42}) {
+		t.Fatalf("second frame %x", m2)
 	}
 }
 
@@ -131,55 +125,37 @@ func TestFrameSizeErrorOnSend(t *testing.T) {
 	if !errors.As(err, &fse) {
 		t.Fatalf("error %T is not *FrameSizeError", err)
 	}
-	if fse.N != FrameLimit+2 || fse.Limit != FrameLimit {
+	if fse.N != FrameLimit+1 || fse.Limit != FrameLimit {
 		t.Fatalf("FrameSizeError = %+v", fse)
 	}
-	// In v2 the tag byte rides in the header, so a message exactly one
-	// byte over the v1 limit still fits.
-	w2 := NewStream(&duplex{in: &bytes.Buffer{}, out: &bytes.Buffer{}})
-	w2.ver = V2
-	if err := w2.WriteMsg(big[:FrameLimit+1]); err != nil {
-		t.Fatalf("v2 frame of limit+tag bytes rejected: %v", err)
+	// The tag byte rides in the header, so a message of the limit plus its
+	// tag still fits.
+	if err := w.WriteMsg(big[:FrameLimit+1]); err != nil {
+		t.Fatalf("frame of limit+tag bytes rejected: %v", err)
 	}
 }
 
+// handshake runs AcceptClient(offer) on srv while cli runs
+// StartClient(want), returning both errors.
+func handshake(cli, srv *Conn, want, offer Caps) (cliErr, srvErr error) {
+	done := make(chan error, 1)
+	go func() { done <- srv.AcceptClient(offer) }()
+	cliErr = cli.StartClient(want)
+	return cliErr, <-done
+}
+
 func TestNegotiateV2BothSides(t *testing.T) {
-	reg := metrics.New()
-	inst := NewInstruments(reg)
 	cliConn, srvConn := net.Pipe()
 	cli := NewConn(cliConn, time.Second)
 	srv := NewConn(srvConn, time.Second)
-	cli.SetInstruments(inst)
-	srv.SetInstruments(inst)
-
-	done := make(chan error, 1)
-	go func() {
-		msg, err := srv.ReadMsg()
-		if err != nil {
-			done <- err
-			return
-		}
-		if !IsNegotiate(msg) {
-			done <- fmt.Errorf("first message %x is not a probe", msg)
-			return
-		}
-		err = srv.AcceptV2(msg, CapSchemaCtrl)
-		bufpool.Put(msg)
-		done <- err
-	}()
-	if err := cli.StartClient(CapSchemaCtrl); err != nil {
-		t.Fatalf("StartClient: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("AcceptV2: %v", err)
-	}
-	if cli.Version() != V2 || srv.Version() != V2 {
-		t.Fatalf("versions cli=%d srv=%d, want v2/v2", cli.Version(), srv.Version())
+	if cerr, serr := handshake(cli, srv, CapSchemaCtrl, CapSchemaCtrl); cerr != nil || serr != nil {
+		t.Fatalf("StartClient: %v, AcceptClient: %v", cerr, serr)
 	}
 	if cli.Caps() != CapSchemaCtrl || srv.Caps() != CapSchemaCtrl {
 		t.Fatalf("caps cli=%x srv=%x", cli.Caps(), srv.Caps())
 	}
-	// Post-negotiation traffic flows in v2 frames.
+	// Post-handshake traffic flows in v2 frames.
+	done := make(chan error, 1)
 	go func() { done <- cli.WriteMsg([]byte{'H', 1}) }()
 	msg, err := srv.ReadMsg()
 	if err != nil {
@@ -197,68 +173,140 @@ func TestNegotiateCapsAreANDed(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	cli := NewConn(cliConn, time.Second)
 	srv := NewConn(srvConn, time.Second)
-	done := make(chan error, 1)
-	go func() {
-		msg, err := srv.ReadMsg()
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- srv.AcceptV2(msg, 0) // server offers nothing
-	}()
-	if err := cli.StartClient(CapSchemaCtrl); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if cli.Version() != V2 {
-		t.Fatalf("version %d", cli.Version())
+	// The server offers nothing.
+	if cerr, serr := handshake(cli, srv, CapSchemaCtrl, 0); cerr != nil || serr != nil {
+		t.Fatalf("StartClient: %v, AcceptClient: %v", cerr, serr)
 	}
 	if cli.Caps() != 0 || srv.Caps() != 0 {
 		t.Fatalf("caps cli=%x srv=%x, want 0", cli.Caps(), srv.Caps())
 	}
 }
 
-// TestNegotiateFallbackOldServer simulates an old peer: it answers the
-// probe with a v1-framed error message, as the shipped avis server does
-// for unknown tags. The client must discard the reply and stay on v1.
-func TestNegotiateFallbackOldServer(t *testing.T) {
+// recordConn records every byte written through it.
+type recordConn struct {
+	net.Conn
+	mu  sync.Mutex
+	out bytes.Buffer
+}
+
+func (c *recordConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.out.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *recordConn) written() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]byte(nil), c.out.Bytes()...)
+}
+
+// TestHandshakeGoldenBytes pins the exact handshake records both ends
+// send: a 4-byte little-endian length of 10, then tag 'V', magic "AVW2",
+// version 2 and the caps bitmap. The data plane advertises no caps, the
+// control plane CapSchemaCtrl on both ends.
+func TestHandshakeGoldenBytes(t *testing.T) {
+	cases := []struct {
+		name        string
+		want, offer Caps
+		probe       string
+		reply       string
+	}{
+		{"data", 0, 0,
+			"0a000000564156573202" + "00000000",
+			"0a000000564156573202" + "00000000"},
+		{"control", CapSchemaCtrl, CapSchemaCtrl,
+			"0a000000564156573202" + "01000000",
+			"0a000000564156573202" + "01000000"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			defer b.Close()
+			ca, cb := &recordConn{Conn: a}, &recordConn{Conn: b}
+			cli, srv := NewConn(ca, time.Second), NewConn(cb, time.Second)
+			if cerr, serr := handshake(cli, srv, tc.want, tc.offer); cerr != nil || serr != nil {
+				t.Fatalf("StartClient: %v, AcceptClient: %v", cerr, serr)
+			}
+			if got := hex.EncodeToString(ca.written()); got != tc.probe {
+				t.Errorf("client probe %s, want %s", got, tc.probe)
+			}
+			if got := hex.EncodeToString(cb.written()); got != tc.reply {
+				t.Errorf("server reply %s, want %s", got, tc.reply)
+			}
+		})
+	}
+}
+
+// TestNegotiateRefusesNonNegotiatingPeer: a peer that answers the probe
+// with an application frame instead of a handshake record — here an error
+// message in the old length-prefixed framing — makes StartClient fail and
+// counts outcome="error".
+func TestNegotiateRefusesNonNegotiatingPeer(t *testing.T) {
+	reg := metrics.New()
+	inst := NewInstruments(reg)
 	cliConn, srvConn := net.Pipe()
+	defer srvConn.Close()
 	cli := NewConn(cliConn, time.Second)
+	cli.SetInstruments(inst)
 	done := make(chan error, 1)
 	go func() {
-		// Old peer: read the probe frame, reply "unknown message".
-		var hdr [4]byte
-		if _, err := io.ReadFull(srvConn, hdr[:]); err != nil {
-			done <- err
-			return
-		}
-		probe := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+		probe := make([]byte, handshakeLen)
 		if _, err := io.ReadFull(srvConn, probe); err != nil {
 			done <- err
 			return
 		}
 		reply := append([]byte{'E'}, "unknown message"...)
-		var out bytes.Buffer
-		var lh [4]byte
-		binary.LittleEndian.PutUint32(lh[:], uint32(len(reply)))
-		out.Write(lh[:])
-		out.Write(reply)
-		_, err := srvConn.Write(out.Bytes())
+		_, err := srvConn.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(reply))), reply...))
 		done <- err
 	}()
-	if err := cli.StartClient(CapSchemaCtrl); err != nil {
-		t.Fatalf("StartClient against old peer: %v", err)
+	if err := cli.StartClient(CapSchemaCtrl); err == nil {
+		t.Fatal("StartClient accepted a peer that did not negotiate")
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if cli.Version() != V1 {
-		t.Fatalf("version %d, want fallback to v1", cli.Version())
+	if v := inst.NegotiateErr.Value(); v != 1 {
+		t.Fatalf(`wire_negotiations_total{outcome="error"} = %v, want 1`, v)
 	}
-	if cli.Caps() != 0 {
-		t.Fatalf("caps %x, want 0", cli.Caps())
+	if v := inst.Negotiated.Value(); v != 0 {
+		t.Fatalf(`wire_negotiations_total{outcome="v2"} = %v, want 0`, v)
+	}
+}
+
+// TestAcceptRefusesBadOpenings: the server runs the handshake before any
+// message, so a client that opens with an application frame (in either
+// the old length-prefixed framing or the v2 header), a version below 2,
+// or a corrupt record is refused and sent nothing.
+func TestAcceptRefusesBadOpenings(t *testing.T) {
+	v1Hello := []byte{1, 0, 0, 0, 'H'}
+	v2Hello := []byte{0, 0, 0, 0, 'H', 0}
+	rec := func(ver Version) []byte {
+		return appendNegotiate(binary.LittleEndian.AppendUint32(nil, negotiateLen), ver, 0)
+	}
+	badMagic := rec(V2)
+	badMagic[5] ^= 0xFF
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+	}{
+		{"v1 hello", v1Hello},
+		{"v2 hello", v2Hello},
+		{"version 1", rec(1)},
+		{"bad magic", badMagic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			srv := NewStream(&duplex{in: bytes.NewBuffer(tc.opening), out: &out})
+			if err := srv.AcceptClient(0); err == nil {
+				t.Fatal("AcceptClient accepted the opening")
+			}
+			if out.Len() != 0 {
+				t.Fatalf("server answered a refused opening with %x", out.Bytes())
+			}
+		})
 	}
 }
 
@@ -326,20 +374,11 @@ func TestConcurrentWritersNeverInterleave(t *testing.T) {
 }
 
 func TestReadMsgRejectsOversizeHeader(t *testing.T) {
-	for _, ver := range []Version{V1, V2} {
-		var in bytes.Buffer
-		var hdr [6]byte
-		binary.LittleEndian.PutUint32(hdr[:4], FrameLimit+1)
-		if ver == V1 {
-			in.Write(hdr[:4])
-		} else {
-			in.Write(hdr[:6])
-		}
-		r := NewStream(&duplex{in: &in, out: &bytes.Buffer{}})
-		r.ver = ver
-		if _, err := r.ReadMsg(); err == nil {
-			t.Fatalf("v%d: oversize header accepted", ver)
-		}
+	var hdr [6]byte
+	binary.LittleEndian.PutUint32(hdr[:4], FrameLimit+1)
+	r := NewStream(&duplex{in: bytes.NewBuffer(hdr[:]), out: &bytes.Buffer{}})
+	if _, err := r.ReadMsg(); err == nil {
+		t.Fatal("oversize header accepted")
 	}
 }
 
@@ -374,21 +413,10 @@ func TestInstrumentsCountFramesAndOutcomes(t *testing.T) {
 	srv := NewConn(srvConn, time.Second)
 	cli.SetInstruments(inst)
 	srv.SetInstruments(inst)
+	if cerr, serr := handshake(cli, srv, 0, 0); cerr != nil || serr != nil {
+		t.Fatalf("StartClient: %v, AcceptClient: %v", cerr, serr)
+	}
 	done := make(chan error, 1)
-	go func() {
-		msg, err := srv.ReadMsg()
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- srv.AcceptV2(msg, 0)
-	}()
-	if err := cli.StartClient(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 	go func() { done <- cli.WriteMsg([]byte{'H'}) }()
 	msg, err := srv.ReadMsg()
 	if err != nil {
@@ -398,13 +426,10 @@ func TestInstrumentsCountFramesAndOutcomes(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if v := inst.NegotiatedV2.Value(); v != 2 { // both ends count
-		t.Fatalf("negotiated_v2 = %v, want 2", v)
+	if v := inst.Negotiated.Value(); v != 2 { // both ends count
+		t.Fatalf("negotiated = %v, want 2", v)
 	}
-	if v := inst.FramesV2.Value(); v != 2 { // one write + one read
-		t.Fatalf("frames v2 = %v, want 2", v)
-	}
-	if v := inst.FramesV1.Value(); v == 0 { // negotiation itself is v1-framed
-		t.Fatal("frames v1 = 0, want negotiation frames counted")
+	if v := inst.Frames.Value(); v != 2 { // one write + one read; handshakes are not frames
+		t.Fatalf("frames = %v, want 2", v)
 	}
 }

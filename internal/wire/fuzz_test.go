@@ -8,62 +8,58 @@ import (
 	"tunable/internal/bufpool"
 )
 
-// FuzzReadMsg feeds arbitrary bytes to the frame reader under both
-// framing versions, mirroring the perfdb fuzz idiom: wire input may be
-// truncated, oversize, or hostile, and ReadMsg must either yield a
-// well-formed tag-prefixed message or return an error — never panic,
-// and never hand back a frame above the size limit.
+// FuzzReadMsg feeds arbitrary bytes to the frame reader, mirroring the
+// perfdb fuzz idiom: wire input may be truncated, oversize, or hostile,
+// and ReadMsg must either yield a well-formed tag-prefixed message or
+// return an error — never panic, and never hand back a frame above the
+// size limit.
 func FuzzReadMsg(f *testing.F) {
-	// Seed with real frames from both encoders, truncations, and an
-	// oversize length prefix.
-	frame := func(ver Version, msg []byte) []byte {
+	// Seed with real frames, truncations, and an oversize length prefix.
+	frame := func(msg []byte) []byte {
 		var buf bytes.Buffer
 		c := NewStream(&duplex{in: &bytes.Buffer{}, out: &buf})
-		c.ver = ver
 		if err := c.WriteMsg(msg); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	v1 := frame(V1, []byte{'H', 1, 2, 3})
-	v2 := frame(V2, append([]byte{'S'}, bytes.Repeat([]byte{0xCD}, 200)...))
-	f.Add(v1)
-	f.Add(v2)
-	f.Add(append(append([]byte{}, v1...), v2...))
-	f.Add(v2[:3])                                              // truncated header
-	f.Add(v1[:len(v1)-2])                                      // truncated payload
+	small := frame([]byte{'H', 1, 2, 3})
+	large := frame(append([]byte{'S'}, bytes.Repeat([]byte{0xCD}, 200)...))
+	f.Add(small)
+	f.Add(large)
+	f.Add(append(append([]byte{}, small...), large...))
+	f.Add(large[:3])                                           // truncated header
+	f.Add(small[:len(small)-2])                                // truncated payload
 	f.Add(binary.LittleEndian.AppendUint32(nil, FrameLimit+1)) // oversize
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, ver := range []Version{V1, V2} {
-			c := NewStream(&duplex{in: bytes.NewBuffer(data), out: &bytes.Buffer{}})
-			c.ver = ver
-			for {
-				msg, err := c.ReadMsg()
-				if err != nil {
-					break
-				}
-				if len(msg) < 1 {
-					t.Fatalf("v%d: ReadMsg returned empty message without error", ver)
-				}
-				if len(msg) > FrameLimit+1 {
-					t.Fatalf("v%d: ReadMsg returned %d bytes, above the frame limit", ver, len(msg))
-				}
-				bufpool.Put(msg)
+		c := NewStream(&duplex{in: bytes.NewBuffer(data), out: &bytes.Buffer{}})
+		for {
+			msg, err := c.ReadMsg()
+			if err != nil {
+				break
 			}
+			if len(msg) < 1 {
+				t.Fatal("ReadMsg returned empty message without error")
+			}
+			if len(msg) > FrameLimit+1 {
+				t.Fatalf("ReadMsg returned %d bytes, above the frame limit", len(msg))
+			}
+			bufpool.Put(msg)
 		}
 	})
 }
 
-// FuzzNegotiate feeds arbitrary bytes to the version-probe parser. A
-// probe that parses must re-encode to exactly the input (the probe is
-// canonical); everything else — wrong magic, truncated, unknown tag —
-// must be rejected without panicking.
+// FuzzNegotiate feeds arbitrary bytes to the negotiation-message parser.
+// A message that parses must announce at least V2 and re-encode to
+// exactly the input (the message is canonical); everything else — wrong
+// magic, truncated, unknown tag, an older version — must be rejected
+// without panicking.
 func FuzzNegotiate(f *testing.F) {
 	valid := appendNegotiate(nil, V2, CapSchemaCtrl)
 	f.Add(valid)
-	f.Add(appendNegotiate(nil, V1, 0))
+	f.Add(appendNegotiate(nil, 1, 0))         // older version: rejected
 	f.Add(appendNegotiate(nil, 99, ^Caps(0))) // future version: still a probe
 	for i := 0; i < len(valid); i++ {
 		f.Add(valid[:i]) // truncations
@@ -77,8 +73,11 @@ func FuzzNegotiate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !IsNegotiate(data) {
-			t.Fatal("parseNegotiate accepted a message IsNegotiate rejects")
+		if !isNegotiate(data) {
+			t.Fatal("parseNegotiate accepted a message isNegotiate rejects")
+		}
+		if ver < V2 {
+			t.Fatalf("parseNegotiate accepted version %d", ver)
 		}
 		if got := appendNegotiate(nil, ver, caps); !bytes.Equal(got, data) {
 			t.Fatalf("probe not canonical: parsed (v%d caps %#x) re-encodes to %x, input %x",

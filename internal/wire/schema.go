@@ -11,8 +11,8 @@ import (
 // decoders are driven by the description rather than generated code, so
 // adding a field is one line in a schema literal, and a decoder built
 // from an older description skips fields it has never heard of by wire
-// type alone. That forward compatibility is what lets mixed-version
-// control planes exchange messages during rolling upgrades.
+// type alone, so a field can be added or retired without touching the
+// decoders of the others.
 //
 // Wire format (protobuf-shaped TLV): each field is a uvarint key
 // (tag<<3 | wiretype) followed by the value. Wire types:

@@ -1,35 +1,25 @@
-// Package wire is the versioned frame protocol under every avis
-// connection — the data plane (internal/avis, internal/edge) and the
-// cluster control plane (internal/cluster) both speak it.
+// Package wire is the frame protocol under every avis connection — the
+// data plane (internal/avis, internal/edge) and the cluster control plane
+// (internal/cluster) both speak it.
 //
-// Two framings coexist on one port:
+// A connection opens with a handshake record in each direction: a
+// little-endian uint32 length (always 10) followed by the negotiation
+// message — tag 'V', a magic number, the highest version the sender
+// speaks, and a capability bitmap. The client sends its record first and
+// the server answers with its own; both then speak version 2 framing. A
+// peer that opens with anything else, or announces a version below 2, is
+// refused with an error and the connection closes.
 //
-//   - v1 is the original length-prefixed framing: a little-endian uint32
-//     payload length followed by the payload, whose first byte is the
-//     message tag. Every peer ever shipped understands it.
-//   - v2 moves the tag (and a reserved flags byte) into a fixed 6-byte
-//     header — length, type, flags — so a frame is read with exactly two
-//     ReadFull calls into a pooled buffer and written as one vectored
-//     write (header and payload gathered into a single writev; a
-//     multi-frame reply batch is also a single writev).
+// A version 2 frame carries the message tag (and a reserved flags byte)
+// in a fixed 6-byte header — length, type, flags — so a frame is read
+// with exactly two ReadFull calls into a pooled buffer and written as one
+// vectored write (header and payload gathered into a single writev; a
+// multi-frame reply batch is also a single writev).
 //
-// Version 2 is negotiated, never assumed. A v2 client opens with a
-// negotiation probe — a v1-framed message carrying a magic number, the
-// highest version the sender speaks, and a capability bitmap — and a v2
-// peer answers with its own. Both sides then run min(version) with the
-// AND of the capability sets. A v1 peer instead answers the probe with
-// whatever it says to an unknown message (the avis server sends a tagged
-// error frame, the coordinator a refusal ack); the client treats any
-// non-negotiation reply as "old peer", discards it, and continues in v1.
-// Mixed-version clusters therefore interoperate in both directions during
-// rolling upgrades, at the cost of one extra round trip per connection
-// and one "unknown message" count on the old side.
-//
-// Capabilities gate encodings above the framing: CapSchemaCtrl switches
-// the cluster's control-message bodies from JSON to the runtime-
-// interpreted binary schemas of schema.go. The data plane negotiates no
-// capabilities — its message payloads stay bit-identical across versions;
-// only the framing around them changes.
+// The capability bitmap is carried in the handshake and ANDed into
+// Conn.Caps, but no encoding depends on it: the control plane always sends
+// the schema-coded bodies of schema.go, the data plane its fixed binary
+// messages.
 package wire
 
 import (
@@ -41,28 +31,23 @@ import (
 // Version is a wire-protocol framing version.
 type Version uint8
 
-const (
-	// V1 is the legacy length-prefixed framing (tag inside the payload).
-	V1 Version = 1
-	// V2 is the negotiated framing with a 6-byte length/type/flags header.
-	V2 Version = 2
-	// MaxVersion is the highest version this build speaks.
-	MaxVersion = V2
-)
+// V2 is the only framing this build speaks: a 6-byte length/type/flags
+// header before each payload.
+const V2 Version = 2
 
-// Caps is the negotiated capability bitmap. The effective capability set
-// of a connection is the AND of what both ends advertised.
+// Caps is the capability bitmap carried in the handshake. The effective
+// capability set of a connection is the AND of what both ends advertised.
 type Caps uint32
 
 const (
-	// CapSchemaCtrl encodes control-plane message bodies with the
-	// runtime-interpreted binary schemas instead of JSON.
+	// CapSchemaCtrl is advertised by both ends of a control-plane
+	// connection. Control bodies are always schema-coded; the bit is kept
+	// so the handshake bytes stay as they are.
 	CapSchemaCtrl Caps = 1 << iota
 )
 
-// TagNegotiate is the message tag of the version-negotiation probe and
-// reply. It is deliberately a printable byte outside every existing tag
-// map so old peers fall into their unknown-message path.
+// TagNegotiate is the message tag of the handshake record. It is a
+// printable byte outside every application tag map.
 const TagNegotiate = 'V'
 
 // Magic guards the negotiation payload against a stray frame that merely
@@ -73,9 +58,9 @@ const Magic uint32 = 0x32575641
 // tag(1) + magic(4) + version(1) + caps(4).
 const negotiateLen = 10
 
-// FrameLimit bounds a single protocol frame in either framing (a frame
-// carries at most one reply segment plus headers). Writers enforce it on
-// send (see FrameSizeError); readers enforce it before allocating.
+// FrameLimit bounds a single protocol frame (a frame carries at most one
+// reply segment plus headers). Writers enforce it on send (see
+// FrameSizeError); readers enforce it before allocating.
 const FrameLimit = 1 << 22
 
 // ErrFrameTooLarge is the sentinel matched by errors.Is for frames
@@ -99,14 +84,13 @@ func (e *FrameSizeError) Error() string {
 // Is matches ErrFrameTooLarge.
 func (e *FrameSizeError) Is(target error) bool { return target == ErrFrameTooLarge }
 
-// IsNegotiate reports whether msg is a well-formed version-negotiation
-// message (probe or reply).
-func IsNegotiate(msg []byte) bool {
+// isNegotiate reports whether msg is a well-formed negotiation message.
+func isNegotiate(msg []byte) bool {
 	return len(msg) == negotiateLen && msg[0] == TagNegotiate &&
 		binary.LittleEndian.Uint32(msg[1:]) == Magic
 }
 
-// appendNegotiate renders a negotiation probe/reply into buf.
+// appendNegotiate renders a negotiation message into buf.
 func appendNegotiate(buf []byte, ver Version, caps Caps) []byte {
 	var b [negotiateLen]byte
 	b[0] = TagNegotiate
@@ -116,24 +100,16 @@ func appendNegotiate(buf []byte, ver Version, caps Caps) []byte {
 	return append(buf, b[:]...)
 }
 
-// parseNegotiate decodes a negotiation message. Versions above MaxVersion
-// are legal (the peer is newer; the caller runs min), versions below V1
-// are not.
+// parseNegotiate decodes a negotiation message. Versions above V2 are
+// legal (the peer is newer and both ends run V2); versions below V2 are
+// not.
 func parseNegotiate(msg []byte) (Version, Caps, error) {
-	if !IsNegotiate(msg) {
+	if !isNegotiate(msg) {
 		return 0, 0, fmt.Errorf("wire: malformed negotiation message (%d bytes)", len(msg))
 	}
 	ver := Version(msg[5])
-	if ver < V1 {
+	if ver < V2 {
 		return 0, 0, fmt.Errorf("wire: negotiation announces version %d", ver)
 	}
 	return ver, Caps(binary.LittleEndian.Uint32(msg[6:])), nil
-}
-
-// minVersion returns the lower of two versions.
-func minVersion(a, b Version) Version {
-	if a < b {
-		return a
-	}
-	return b
 }

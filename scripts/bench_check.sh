@@ -5,22 +5,24 @@
 # (default 0.20 = 20%) slower than its baseline fails the check with a
 # nonzero exit. Six suites are gated: the data-plane kernels
 # (BENCH_kernels.json), the edge cache tier (BENCH_edge.json), the
-# control plane (BENCH_control.json — heartbeat dispatch, placement, and
-# the counter-commit harness; its trailing "swarm" block is informational
-# and ignored here), the live performance store (BENCH_perfstore.json —
-# cached vs uncached profile lookup and sample ingest), the wire
-# protocol (BENCH_wire.json — v1/v2 framing and schema-vs-JSON control
-# bodies), and the workload layer (BENCH_apps.json — the mixed
-# video+foveal harness, arbiter acquire/release, and a single video
-# session; only ns/op is gated, the sessions/sec and p95-QoS fields are
-# informational).
+# control plane (BENCH_control.json — delta-heartbeat dispatch,
+# placement, and the counter-commit harness; its trailing "swarm" block
+# is informational and ignored here), the live performance store
+# (BENCH_perfstore.json — cached vs uncached profile lookup and sample
+# ingest), the wire protocol (BENCH_wire.json — frame write/read and
+# the schema codec against JSON on test-local control bodies), and the
+# workload layer (BENCH_apps.json — the mixed video+foveal harness,
+# arbiter acquire/release, and a single video session; only ns/op is
+# gated, the sessions/sec and p95-QoS fields are informational).
 #
 #   scripts/bench_check.sh                        # compare at +20%
 #   BENCH_TOLERANCE=0.60 scripts/bench_check.sh   # looser, for noisy CI
 #   BENCHTIME=2s scripts/bench_check.sh           # steadier measurement
 #
-# Refresh a baseline after an intentional perf change with
-# scripts/bench.sh / scripts/bench_edge.sh (run on a quiet machine).
+# Refresh a baseline after an intentional perf change with the matching
+# script — scripts/bench.sh, bench_edge.sh, bench_control.sh,
+# bench_perfstore.sh, bench_wire.sh or bench_apps.sh (run on a quiet
+# machine).
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # bench_wire.sh — run the wire-protocol micro-benchmarks (frame
-# write/read under v1 and v2 framing, schema vs JSON control bodies for
-# the heartbeat and resolve messages) and record BENCH_wire.json at the
+# write/read, schema vs JSON codecs on test-local id+count and resolve
+# bodies) and record BENCH_wire.json at the
 # repo root. A thin retargeting of scripts/bench.sh; extra go-test flags
 # pass through.
 set -eu

@@ -60,11 +60,9 @@ run_smoke() {
 	echo "== avis-load smoke (1k virtual sessions)"
 	go run ./cmd/avis-load -nodes 200 -sessions 1000 -ramp 10s -hold 15s -step 100ms -kill 0.1
 
-	# Mixed-version wire conformance: every v1/v2 pairing of server,
-	# client, coordinator, and agent must negotiate (or fall back)
-	# cleanly and produce byte-identical session output — the
-	# rolling-upgrade guarantee.
-	echo "== scripts/wire_conformance.sh (mixed-version matrix)"
+	# Wire conformance: a direct and a coordinator-placed session per
+	# codec over real sockets must produce byte-identical session output.
+	echo "== scripts/wire_conformance.sh (direct + coordinator-placed sessions)"
 	./scripts/wire_conformance.sh
 
 	# Mixed-workload smoke: a seeded video+foveal mix under a replayed

@@ -1,14 +1,12 @@
 #!/usr/bin/env sh
-# wire_conformance.sh — mixed-version wire-protocol smoke: prove that a
-# rolling upgrade cannot corrupt the data plane. Runs every pairing of a
-# v2 and a v1-pinned (-wirev1, speaking what a pre-v2 build spoke)
-# avis-server and avis-client, dumps each session's reconstructed pixels
-# (float64 LE), and requires all four dumps byte-identical. Then repeats
-# the mix on the control plane: a coordinator and an agent in each
-# version pairing must still register, heartbeat, and place a session
-# whose dump matches the same baseline.
+# wire_conformance.sh — wire-protocol smoke over real sockets: for each
+# codec (raw, lzw, bzw), one direct avis-server/avis-client session and
+# one session placed through an avis-coord coordinator (the server
+# registered by its agent, the client resolved by the coordinator). Each
+# session dumps its reconstructed pixels (float64 LE); every dump must be
+# byte-identical to the first, since all codecs are lossless.
 #
-#   scripts/wire_conformance.sh            # full matrix (~15s)
+#   scripts/wire_conformance.sh            # all sessions (~10s)
 #   KEEP_TMP=1 scripts/wire_conformance.sh # leave dumps behind on failure
 set -eu
 
@@ -43,57 +41,46 @@ wait_port() {
 	done
 }
 
-# session SRVFLAGS CLIFLAGS OUT — one direct data-plane session.
+# session CODEC OUT — one direct data-plane session.
 session() {
-	"$TMP/avis-server" -addr $SRV_ADDR -side $SIDE -levels $LEVELS -images $IMAGES $1 &
+	"$TMP/avis-server" -addr $SRV_ADDR -side $SIDE -levels $LEVELS -images $IMAGES &
 	SRV_PID=$!
 	wait_port $SRV_ADDR
-	"$TMP/avis-client" -addr $SRV_ADDR -n $IMAGES -level $LEVELS $2 -dump "$3" >/dev/null
+	"$TMP/avis-client" -addr $SRV_ADDR -n $IMAGES -level $LEVELS -codec "$1" -dump "$2" >/dev/null
 	kill $SRV_PID
 	wait $SRV_PID 2>/dev/null || true
 	SRV_PID=
 }
 
-echo "== data plane: version matrix"
-session ""        ""        "$TMP/v2v2.bin"
-session ""        "-wirev1" "$TMP/v2v1.bin"
-session "-wirev1" ""        "$TMP/v1v2.bin"
-session "-wirev1" "-wirev1" "$TMP/v1v1.bin"
-
-for f in v2v1 v1v2 v1v1; do
-	cmp "$TMP/v2v2.bin" "$TMP/$f.bin" || {
-		echo "wire_conformance: data plane $f differs from v2v2" >&2
-		exit 1
-	}
-done
-echo "   4/4 sessions byte-identical ($(wc -c <"$TMP/v2v2.bin") bytes each)"
-
-# coord_session COORDFLAGS SRVFLAGS CLIFLAGS OUT — a placed session
-# through a coordinator, mixing control-plane versions.
+# coord_session CODEC OUT — a session placed through a coordinator.
 coord_session() {
-	"$TMP/avis-coord" -addr $COORD_ADDR $1 &
+	"$TMP/avis-coord" -addr $COORD_ADDR &
 	COORD_PID=$!
 	wait_port $COORD_ADDR
 	"$TMP/avis-server" -addr $SRV_ADDR -side $SIDE -levels $LEVELS -images $IMAGES \
-		-coord $COORD_ADDR -heartbeat 200ms $2 &
+		-coord $COORD_ADDR -heartbeat 200ms &
 	SRV_PID=$!
 	wait_port $SRV_ADDR
 	sleep 0.5 # let registration land
-	"$TMP/avis-client" -coord $COORD_ADDR -n $IMAGES -level $LEVELS $3 -dump "$4" >/dev/null
+	"$TMP/avis-client" -coord $COORD_ADDR -n $IMAGES -level $LEVELS -codec "$1" -dump "$2" >/dev/null
 	kill $SRV_PID $COORD_PID
 	wait $SRV_PID $COORD_PID 2>/dev/null || true
 	SRV_PID= COORD_PID=
 }
 
-echo "== control plane: version matrix"
-coord_session ""        "-wirev1" ""        "$TMP/c2a1.bin" # v2 coordinator, v1 agent
-coord_session "-wirev1" ""        "-wirev1" "$TMP/c1a2.bin" # v1 coordinator, v2 agent
-for f in c2a1 c1a2; do
-	cmp "$TMP/v2v2.bin" "$TMP/$f.bin" || {
-		echo "wire_conformance: control plane $f differs from baseline" >&2
-		exit 1
-	}
+n=0
+for codec in raw lzw bzw; do
+	echo "== $codec: direct and coordinator-placed sessions"
+	session "$codec" "$TMP/direct-$codec.bin"
+	coord_session "$codec" "$TMP/placed-$codec.bin"
+	for f in direct-$codec placed-$codec; do
+		cmp "$TMP/direct-raw.bin" "$TMP/$f.bin" || {
+			echo "wire_conformance: $f differs from direct-raw" >&2
+			exit 1
+		}
+		n=$((n + 1))
+	done
 done
-echo "   2/2 placed sessions byte-identical"
+echo "   $n/6 sessions byte-identical ($(wc -c <"$TMP/direct-raw.bin") bytes each)"
 
 echo "wire_conformance: OK"

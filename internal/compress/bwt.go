@@ -2,157 +2,63 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
-// Suffix-array scratch: the prefix-doubling sort needs five integer arrays
-// of length n+1 (plus a counting array). BZW calls it once per 64 KiB
-// block, so the arrays are recycled through a sync.Pool instead of being
-// reallocated for every block.
+// saScratch holds the suffix sort's working arrays, recycled through a
+// sync.Pool because BZW sorts once per 64 KiB block: sa is the suffix
+// array (sentinel included) and tmp the per-level frequency and bucket
+// space of sais.
 type saScratch struct {
-	sa, rank, tmp, tmp2 []int32
-	cnt                 []int32
+	sa, tmp []int32
 }
 
 var saPool = sync.Pool{New: func() any { return &saScratch{} }}
 
 func (s *saScratch) grow(n int) {
-	if cap(s.sa) < n {
-		s.sa = make([]int32, n)
-		s.rank = make([]int32, n)
-		s.tmp = make([]int32, n)
-		s.tmp2 = make([]int32, n)
+	if cap(s.sa) < n+1 {
+		s.sa = make([]int32, n+1)
 	}
-	s.sa = s.sa[:n]
-	s.rank = s.rank[:n]
-	s.tmp = s.tmp[:n]
-	s.tmp2 = s.tmp2[:n]
-	// The counting array must cover the initial alphabet (257 symbols plus
-	// the sentinel rank 0) and every later rank value (< n).
-	cn := n + 1
-	if cn < 258 {
-		cn = 258
+	s.sa = s.sa[:n+1]
+	t := 2*256 + 2*n
+	if cap(s.tmp) < t {
+		s.tmp = make([]int32, t)
 	}
-	if cap(s.cnt) < cn {
-		s.cnt = make([]int32, cn)
-	}
-	s.cnt = s.cnt[:cn]
+	s.tmp = s.tmp[:t]
 }
 
-// suffixArray computes the suffix array of data plus a virtual sentinel
-// smaller than every byte, using radix-sort prefix doubling (O(n log n):
-// each round is two linear passes — a bucket placement by the second key
-// and a stable counting sort by the first). The returned array has length
-// len(data)+1 and its first entry is always the sentinel suffix. The
-// caller must copy the result if it outlives the next call; here it is
-// consumed immediately by bwtForward.
+// suffixArray returns a fresh copy of the suffix array of data plus a
+// virtual sentinel smaller than every byte: len(data)+1 entries, the
+// first always the sentinel suffix len(data).
 func suffixArray(data []byte) []int32 {
 	sc := saPool.Get().(*saScratch)
 	defer saPool.Put(sc)
-	sa := suffixArrayInto(sc, data)
-	out := make([]int32, len(sa))
-	copy(out, sa)
-	return out
+	return slices.Clone(suffixArrayInto(sc, data))
 }
 
-// suffixArrayInto computes the suffix array into sc.sa and returns it. The
-// slice is only valid until sc is reused.
+// suffixArrayInto computes the suffix array into sc.sa by induced sorting
+// (sais, linear time) and returns it. The slice is only valid until sc is
+// reused.
 func suffixArrayInto(sc *saScratch, data []byte) []int32 {
-	n := len(data) + 1
-	sc.grow(n)
-	sa, rank, tmp, newRank, cnt := sc.sa, sc.rank, sc.tmp, sc.tmp2, sc.cnt
-
-	// Initial ranks: byte value + 1, sentinel 0. Counting sort by rank.
-	for i := 0; i < n-1; i++ {
-		rank[i] = int32(data[i]) + 1
-	}
-	rank[n-1] = 0
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		cnt[rank[i]]++
-	}
-	for i := 1; i < 258; i++ {
-		cnt[i] += cnt[i-1]
-	}
-	for i := n - 1; i >= 0; i-- {
-		cnt[rank[i]]--
-		sa[cnt[rank[i]]] = int32(i)
-	}
-
-	for k := 1; ; k *= 2 {
-		// Order by the second key (rank[i+k], absent = smallest): suffixes
-		// whose second half starts past the end come first, in index order;
-		// the rest inherit the previous round's order shifted by k.
-		p := 0
-		for i := n - k; i < n; i++ {
-			tmp[p] = int32(i)
-			p++
-		}
-		for i := 0; i < n; i++ {
-			if int(sa[i]) >= k {
-				tmp[p] = sa[i] - int32(k)
-				p++
-			}
-		}
-		// Stable counting sort by the first key (rank). Rank values are in
-		// [0, n); reuse cnt (only the first maxRank+1 entries matter, but
-		// clearing n+1 is a linear pass either way).
-		for i := 0; i <= n; i++ {
-			cnt[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			cnt[rank[i]]++
-		}
-		for i := 1; i <= n; i++ {
-			cnt[i] += cnt[i-1]
-		}
-		for i := n - 1; i >= 0; i-- {
-			s := tmp[i]
-			cnt[rank[s]]--
-			sa[cnt[rank[s]]] = s
-		}
-		// Re-rank: adjacent suffixes get the same rank iff both halves
-		// match.
-		newRank[sa[0]] = 0
-		maxRank := int32(0)
-		for i := 1; i < n; i++ {
-			cur, prev := sa[i], sa[i-1]
-			r := newRank[prev]
-			if rank[cur] != rank[prev] {
-				r++
-			} else {
-				c2, p2 := int32(-1), int32(-1)
-				if int(cur)+k < n {
-					c2 = rank[int(cur)+k]
-				}
-				if int(prev)+k < n {
-					p2 = rank[int(prev)+k]
-				}
-				if c2 != p2 {
-					r++
-				}
-			}
-			newRank[cur] = r
-			maxRank = r
-		}
-		rank, newRank = newRank, rank
-		if maxRank == int32(n-1) {
-			break
-		}
-	}
-	sc.rank, sc.tmp2 = rank, newRank
+	sc.grow(len(data))
+	sa := sc.sa
+	sa[0] = int32(len(data))
+	clear(sa[1:])
+	sais(data, 256, sa[1:], sc.tmp)
 	return sa
 }
 
 // bwtForward computes the Burrows–Wheeler transform of data with an
-// implicit sentinel, appending the output (same length as the input) to
-// dst. primary is the row at which the (omitted) sentinel character sits.
+// implicit sentinel: the output has the same length as the input, and
+// primary is the row at which the (omitted) sentinel character sits.
+// Suffix arrays are unique, so the output depends only on data, not on
+// how the suffixes are sorted.
 func bwtForward(data []byte) (out []byte, primary int) {
 	return bwtAppendForward(nil, data)
 }
 
+// bwtAppendForward appends the transform of data to dst.
 func bwtAppendForward(dst, data []byte) (out []byte, primary int) {
 	sc := saPool.Get().(*saScratch)
 	defer saPool.Put(sc)

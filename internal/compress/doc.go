@@ -15,13 +15,13 @@
 // allocation; the wire formats are pinned bit-for-bit by the golden tests
 // in golden_test.go, so every rewrite below is observable only as speed.
 //
-// Suffix sorting (bwt.go): the Burrows–Wheeler transform sorts the
-// rotations of each 64 KiB block via a suffix array built by radix-sort
-// prefix doubling. Each doubling round is two linear passes — a bucket
-// placement ordering suffixes by their second key (the rank k positions
-// ahead), then a stable counting sort by first key — so the sort is
-// O(n log n) with no comparator calls. The five working arrays live in a
-// pooled saScratch and are reused across blocks.
+// Suffix sorting (bwt.go, sais.go): the Burrows–Wheeler transform sorts
+// the rotations of each 64 KiB block via a suffix array built by induced
+// sorting (SA-IS), which is linear in the block length. The top level
+// runs on the block's bytes and recurses, on a string of int32 names at
+// most half as long, only when LMS-substrings repeat; one generic
+// implementation serves both. The suffix array and the per-level bucket
+// arrays live in a pooled saScratch, so a sort allocates nothing.
 //
 // LZW dictionary (lzw.go): the encoder dictionary is a flat array of
 // lzwMaxCodes×256 slots indexed by (prefix code << 8 | next byte), each
@@ -35,11 +35,13 @@
 // Huffman coding (huffman.go): code lengths come from a pooled builder
 // whose node arena and index min-heap are plain slices (the heap is
 // hand-rolled so no element is boxed through an interface). Codes are
-// canonical, assigned by a counting pass per length; the decoder is
-// table-driven — per length it stores the first canonical code, symbol
-// count, and an offset into a (length, symbol)-sorted symbol array, so
-// each decoded symbol costs one compare per code bit instead of a map
-// lookup.
+// canonical, assigned by a counting pass per length. The decoder refills
+// a 64-bit bit accumulator several bytes at a time and resolves each
+// symbol with one probe of a stack-resident table indexed by the next
+// 11 stream bits (the bit-reversed canonical codes, since the stream is
+// LSB-first); longer codes, and codes the remaining bits cannot
+// complete, take the canonical walk — per length the first code, symbol count and an offset
+// into a (length, symbol)-sorted symbol array — one bit at a time.
 //
 // Buffer discipline: every stage has an append-style variant
 // (xxxAppendEncode/Decode) writing into caller-supplied buffers; the BZW

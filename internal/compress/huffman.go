@@ -1,7 +1,10 @@
 package compress
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -221,10 +224,26 @@ func huffDecode(src []byte) ([]byte, error) {
 	return huffAppendDecode(nil, src)
 }
 
-// huffAppendDecode appends the decoded payload to dst. The decoder is
-// table-driven: per code length it holds the first canonical code, the
-// symbol count, and an offset into a symbol array sorted by (length,
-// symbol); one compare per bit replaces the old (length, code) map.
+// huffTableBits is the width of the decoder's lookup window: codes up to
+// this long decode in one table probe, longer ones take the canonical
+// walk. 2^11 two-byte entries fill in well under the cost of a 64 KiB
+// block, and on wavelet chunks only 1–2% of BZW's Huffman symbols have
+// longer codes (the longest are 15–16 bits).
+const huffTableBits = 11
+
+// huffAppendDecode appends the decoded payload to dst.
+//
+// The decoder keeps, per code length, the first canonical code, the
+// symbol count and an offset into a (length, symbol)-sorted symbol array.
+// From these it fills a lookup table indexed by the next tb stream bits:
+// the stream is LSB-first while canonical codes are MSB-first, so a code
+// of length l owns every index whose low l bits are its bit-reversal.
+// Each entry packs symbol | length<<8 (0: no code of length ≤ tb is a
+// prefix of the window). A 64-bit accumulator is refilled several bytes
+// at a time. Windows without an entry, and windows that would run past
+// the end of the stream, fall back to the canonical walk — one bit at a
+// time, first matching length wins — which also produces the truncation
+// and bad-code errors; for every input the table and the walk agree.
 func huffAppendDecode(dst, src []byte) ([]byte, error) {
 	if len(src) < 260 {
 		return nil, fmt.Errorf("compress: huffman header truncated")
@@ -238,13 +257,18 @@ func huffAppendDecode(dst, src []byte) ([]byte, error) {
 		}
 		return dst, nil
 	}
+	data := src[260:]
+	// Every code is at least one bit long, so a symbol count beyond the
+	// stream's bit count is truncated; rejecting it here also keeps a
+	// hostile header from sizing the output.
+	if n > 8*len(data) {
+		return nil, errHuffTruncated
+	}
 	var count [huffMaxLen + 1]int32
 	maxLen := 0
-	nsyms := 0
 	for _, l := range lengths {
 		if l > 0 {
 			count[l]++
-			nsyms++
 			if int(l) > maxLen {
 				maxLen = int(l)
 			}
@@ -276,30 +300,66 @@ func huffAppendDecode(dst, src []byte) ([]byte, error) {
 			}
 		}
 	}
+	tb := uint(min(maxLen, huffTableBits))
+	var table [1 << huffTableBits]uint16
+	for l := uint(1); l <= tb; l++ {
+		for d := int32(0); d < count[l]; d++ {
+			code := first[l] + uint32(d)
+			if code >= 1<<l {
+				break // an over-full length table: the walk never reaches these
+			}
+			e := uint16(syms[offset[l]+d]) | uint16(l)<<8
+			for i := bits.Reverse32(code) >> (32 - l); i < 1<<tb; i += 1 << l {
+				table[i] = e
+			}
+		}
+	}
+	mask := uint64(1)<<tb - 1
+
 	base := len(dst)
 	dst = growBytes(dst, n)
 	out := dst[base:]
-	// Local bit-reader state: bits are consumed LSB-first from the stream
-	// and accumulated MSB-first into the running code.
-	data := src[260:]
+	// acc holds the next nb stream bits, LSB first. Bits above nb are
+	// either zero or the true bits of data[pos], so a refill may OR them
+	// in again.
 	pos := 0
 	var acc uint64
-	var bits uint
-	for i := 0; i < n; i++ {
+	var nb uint
+	for i := range out {
+		if nb < tb {
+			if pos+8 <= len(data) {
+				acc |= binary.LittleEndian.Uint64(data[pos:]) << nb
+				pos += int(63-nb) >> 3
+				nb |= 56
+			} else {
+				for nb <= 56 && pos < len(data) {
+					acc |= uint64(data[pos]) << nb
+					pos++
+					nb += 8
+				}
+			}
+		}
+		if e := table[acc&mask]; e != 0 && uint(e>>8) <= nb {
+			out[i] = byte(e)
+			acc >>= e >> 8
+			nb -= uint(e >> 8)
+			continue
+		}
+		// Canonical walk: bits accumulate MSB-first into the running code.
 		var code uint32
 		l := 0
 		for {
-			if bits == 0 {
+			if nb == 0 {
 				if pos >= len(data) {
-					return nil, fmt.Errorf("compress: lzw stream truncated")
+					return nil, errHuffTruncated
 				}
 				acc = uint64(data[pos])
 				pos++
-				bits = 8
+				nb = 8
 			}
 			code = code<<1 | uint32(acc&1)
 			acc >>= 1
-			bits--
+			nb--
 			l++
 			if l > maxLen {
 				return nil, fmt.Errorf("compress: huffman bad code")
@@ -312,3 +372,5 @@ func huffAppendDecode(dst, src []byte) ([]byte, error) {
 	}
 	return dst, nil
 }
+
+var errHuffTruncated = errors.New("compress: huffman stream truncated")
